@@ -26,6 +26,15 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> perfbench build + tests (host-time benchmark harness)"
+# perfbench is a workspace of its own that calls the simulator's public
+# entry points (run_multi_gpu_fused_rs_on/_sharded,
+# run_fused_gemm_rs_instrumented, run_gemm_isolated_in_mode), so a
+# refactor that breaks one fails here. Its build output stays under
+# target/ so a CI pass leaves the working tree clean.
+CARGO_TARGET_DIR=target/perfbench cargo test --release --offline -q \
+    --manifest-path perfbench/Cargo.toml
+
 echo "==> figures smoke run (parallel runtime, fresh cache)"
 # Smoke artifacts live under target/ so a CI pass leaves the working
 # tree clean. The spec pair appends the 3D sweep rows to the legacy

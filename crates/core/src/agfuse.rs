@@ -23,7 +23,7 @@ use t3_mem::controller::{MemoryController, StreamId};
 use t3_mem::llc::Llc;
 use t3_sim::config::SystemConfig;
 use t3_sim::stats::{TrafficClass, TrafficStats};
-use t3_sim::Cycle;
+use t3_sim::{drive, Bytes, Clocked, Cycle, SimMode};
 
 /// Options for the fused AG→GEMM run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,108 +63,136 @@ pub struct AgFuseResult {
 /// Panics if the simulation fails to converge (an internal error).
 pub fn run_fused_ag_gemm(sys: &SystemConfig, grid: GemmGrid, opts: &AgFuseOptions) -> AgFuseResult {
     let n = sys.num_gpus as u64;
-    let shape = *grid.shape();
-    let a_bytes = shape.a_bytes();
-    let chunk_bytes = a_bytes / n;
+    let chunk_bytes = grid.shape().a_bytes() / n;
     let link_ser = (chunk_bytes as f64 / sys.link.bytes_per_cycle()).ceil() as Cycle; // t3-lint: allow(float-cycles) -- matches Link::serialization_cycles rounding exactly
-    let latency = sys.link.latency_cycles();
+    let mut run = AgFuse {
+        n,
+        chunk_bytes,
+        link_ser,
+        latency: sys.link.latency_cycles(),
+        arrival_aligned: opts.arrival_aligned,
+        mc: MemoryController::new(&sys.mem, Box::new(ComputeFirstPolicy::new())),
+        llc: Llc::new(&sys.mem),
+        gemm: GemmEngine::new(&sys.gpu, grid.clone()),
+        grid,
+        announced: 0,
+        scheduling_triggers: 0,
+        gemm_done: false,
+    };
+    // No event prediction: the gated GEMM steps every cycle.
+    let cycles = drive(&mut run, SimMode::default(), 0, None);
+    AgFuseResult {
+        cycles,
+        stats: run.mc.stats().clone(),
+        scheduling_triggers: run.scheduling_triggers,
+    }
+}
 
-    // Chunk j of A covers rows [j*m/n, (j+1)*m/n). Arrival times:
-    // the own shard at t=0; received shards pipelined one link
-    // serialisation apart.
-    let arrival_of_received = |j: u64| -> Cycle {
+/// The consumer GPU: a GEMM whose stages are gated on mirrored
+/// all-gather arrivals.
+struct AgFuse {
+    grid: GemmGrid,
+    n: u64,
+    chunk_bytes: Bytes,
+    link_ser: Cycle,
+    latency: Cycle,
+    arrival_aligned: bool,
+    mc: MemoryController,
+    llc: Llc,
+    gemm: GemmEngine,
+    /// Received chunks whose writes are enqueued.
+    announced: u64,
+    scheduling_triggers: u64,
+    gemm_done: bool,
+}
+
+impl AgFuse {
+    /// Arrival time of received chunk `j >= 1`: the own shard is there
+    /// at t=0, received shards arrive pipelined one link serialisation
+    /// apart.
+    fn arrival_of_received(&self, j: u64) -> Cycle {
         debug_assert!(j >= 1);
-        j * link_ser + latency
-    };
-    // Which chunk range a stage needs: every chunk covering its WGs'
-    // A rows (a stage can span several input chunks).
-    let chunks_of_stage = |stage: u64| -> (u64, u64) {
-        let (w_start, w_end) = grid.stage_wgs(stage);
-        let first_row = grid.wg_tile(w_start).row * grid.tile_dim();
-        let last_tile = grid.wg_tile(w_end - 1);
-        let last_row = last_tile.row * grid.tile_dim() + last_tile.height - 1;
+        j * self.link_ser + self.latency
+    }
+
+    /// Which chunk range a stage needs: every chunk covering its WGs'
+    /// A rows (a stage can span several input chunks).
+    fn chunks_of_stage(&self, stage: u64) -> (u64, u64) {
+        let (n, m) = (self.n, self.grid.shape().m);
+        let (w_start, w_end) = self.grid.stage_wgs(stage);
+        let first_row = self.grid.wg_tile(w_start).row * self.grid.tile_dim();
+        let last_tile = self.grid.wg_tile(w_end - 1);
+        let last_row = last_tile.row * self.grid.tile_dim() + last_tile.height - 1;
         (
-            (first_row * n / shape.m).min(n - 1),
-            (last_row * n / shape.m).min(n - 1),
+            (first_row * n / m).min(n - 1),
+            (last_row * n / m).min(n - 1),
         )
-    };
-    // Availability time of consumption-order chunk j.
-    let available_at = |j: u64| -> Cycle {
-        if opts.arrival_aligned {
-            if j == 0 {
-                0
-            } else {
-                arrival_of_received(j)
-            }
+    }
+
+    /// Availability time of consumption-order chunk `j`. Without
+    /// alignment the worst case holds: consumption order is the reverse
+    /// of arrival order (own shard consumed last).
+    fn available_at(&self, j: u64) -> Cycle {
+        let arrival_rank = if self.arrival_aligned {
+            j
         } else {
-            // Worst case: consumption order is the reverse of arrival
-            // order (own shard consumed last).
-            if j == n - 1 {
-                0
-            } else {
-                arrival_of_received(n - 1 - j)
-            }
+            self.n - 1 - j
+        };
+        if arrival_rank == 0 {
+            0
+        } else {
+            self.arrival_of_received(arrival_rank)
         }
-    };
+    }
+}
 
-    let mut mc = MemoryController::new(&sys.mem, Box::new(ComputeFirstPolicy::new()));
-    let mut llc = Llc::new(&sys.mem);
-    let mut gemm = GemmEngine::new(&sys.gpu, grid.clone());
-    let mut announced: u64 = 0; // received chunks whose writes are enqueued
-    let mut scheduling_triggers = 0u64;
-    let mut gemm_done = false;
-    let mut now: Cycle = 0;
-
-    loop {
-        mc.step(now, None);
+impl Clocked for AgFuse {
+    fn step(&mut self, now: Cycle) {
+        self.mc.step(now, None);
         // Mirrored incoming AG writes enter the comm stream on arrival.
-        while announced + 1 < n && arrival_of_received(announced + 1) <= now {
-            announced += 1;
-            mc.enqueue(StreamId::Comm, TrafficClass::AgWrite, chunk_bytes, 1.0);
+        while self.announced + 1 < self.n && self.arrival_of_received(self.announced + 1) <= now {
+            self.announced += 1;
+            self.mc
+                .enqueue(StreamId::Comm, TrafficClass::AgWrite, self.chunk_bytes, 1.0);
         }
         // Gate the GEMM: only step it when its current stage's input
         // chunk has arrived (the Tracker's WG-scheduling trigger).
-        let stage = gemm.current_stage();
-        let can_run = gemm_done || stage >= grid.num_stages() || {
-            let (c_lo, c_hi) = chunks_of_stage(stage);
-            (c_lo..=c_hi).all(|c| available_at(c) <= now)
+        let stage = self.gemm.current_stage();
+        let can_run = self.gemm_done || stage >= self.grid.num_stages() || {
+            let (c_lo, c_hi) = self.chunks_of_stage(stage);
+            (c_lo..=c_hi).all(|c| self.available_at(c) <= now)
         };
-        if can_run {
-            match gemm.step(now, &mut mc, &mut llc) {
-                GemmEvent::Idle => {}
-                GemmEvent::Finished => gemm_done = true,
-                GemmEvent::StageStoresIssued {
-                    wg_start, wg_end, ..
-                } => {
-                    scheduling_triggers += 1;
-                    route_stage_stores(
-                        &grid,
-                        wg_start,
-                        wg_end,
-                        WritePolicy::CachedLocal,
-                        &mut mc,
-                        &mut llc,
-                    );
-                }
-            }
-            if gemm_done && mc.pending_bytes(StreamId::Compute) == 0 {
-                let flush = llc.flush_dirty();
-                if flush > 0 {
-                    mc.enqueue(StreamId::Compute, TrafficClass::GemmWrite, flush, 1.0);
-                }
+        if !can_run {
+            return;
+        }
+        match self.gemm.step(now, &mut self.mc, &mut self.llc) {
+            GemmEvent::Idle => {}
+            GemmEvent::Finished => self.gemm_done = true,
+            GemmEvent::StageStoresIssued {
+                wg_start, wg_end, ..
+            } => {
+                self.scheduling_triggers += 1;
+                route_stage_stores(
+                    &self.grid,
+                    wg_start,
+                    wg_end,
+                    WritePolicy::CachedLocal,
+                    &mut self.mc,
+                    &mut self.llc,
+                );
             }
         }
-        if gemm_done && announced == n - 1 && mc.is_idle() {
-            break;
+        if self.gemm_done && self.mc.pending_bytes(StreamId::Compute) == 0 {
+            let flush = self.llc.flush_dirty();
+            if flush > 0 {
+                self.mc
+                    .enqueue(StreamId::Compute, TrafficClass::GemmWrite, flush, 1.0);
+            }
         }
-        now += 1;
-        assert!(now < 4_000_000_000, "fused AG-GEMM failed to converge");
     }
 
-    AgFuseResult {
-        cycles: now,
-        stats: mc.stats().clone(),
-        scheduling_triggers,
+    fn is_done(&self, _now: Cycle) -> bool {
+        self.gemm_done && self.announced == self.n - 1 && self.mc.is_idle()
     }
 }
 

@@ -20,7 +20,6 @@ use crate::engine::{run_fused_gemm_rs, FusedOptions, PolicyChoice};
 use t3_gpu::collective::{CollectiveKind, RingCollective};
 use t3_gpu::engine::{run_gemm_isolated_in_mode, WritePolicy};
 use t3_gpu::gemm::{GemmGrid, GemmShape};
-use t3_mem::nmc::ReductionSubstrate;
 use t3_sim::config::SystemConfig;
 use t3_sim::stats::TrafficStats;
 use t3_sim::{Cycle, SimMode};
@@ -94,89 +93,55 @@ impl Configuration {
         let grid = GemmGrid::new(&sys.gpu, *shape);
         let payload = shape.output_bytes();
         let ag = RingCollective::baseline(CollectiveKind::AllGather, payload, sys).simulate(sys);
-        match self {
-            Configuration::Sequential => {
-                let gemm = run_gemm_isolated_in_mode(sys, grid, WritePolicy::CachedLocal, mode);
-                let rs = RingCollective::baseline(CollectiveKind::ReduceScatter, payload, sys)
-                    .simulate(sys);
-                let mut stats = gemm.stats.clone();
-                stats.merge(&rs.stats);
-                stats.merge(&ag.stats);
-                SublayerOutcome {
-                    config: self,
-                    gemm_cycles: gemm.cycles,
-                    rs_cycles: rs.cycles,
-                    ag_cycles: ag.cycles,
-                    total_cycles: gemm.cycles + rs.cycles + ag.cycles,
-                    stats,
-                }
-            }
-            Configuration::T3 | Configuration::T3Mca => {
-                let policy = if self == Configuration::T3 {
-                    PolicyChoice::RoundRobin
-                } else {
-                    PolicyChoice::McaDynamic
-                };
-                let fused = run_fused_gemm_rs(
-                    sys,
-                    grid,
-                    &FusedOptions {
-                        policy,
-                        mode,
-                        ..FusedOptions::default()
-                    },
-                );
-                let mut stats = fused.stats.clone();
-                stats.merge(&ag.stats);
-                SublayerOutcome {
-                    config: self,
-                    gemm_cycles: fused.cycles,
-                    rs_cycles: 0,
-                    ag_cycles: ag.cycles,
-                    total_cycles: fused.cycles + ag.cycles,
-                    stats,
-                }
-            }
-            Configuration::IdealOverlap | Configuration::IdealRsNmc => {
-                let gemm = run_gemm_isolated_in_mode(sys, grid, WritePolicy::CachedLocal, mode);
-                let rs = RingCollective::baseline(CollectiveKind::ReduceScatter, payload, sys)
-                    .with_nmc(self == Configuration::IdealRsNmc)
-                    .simulate(sys);
-                let mut stats = gemm.stats.clone();
-                stats.merge(&rs.stats);
-                stats.merge(&ag.stats);
-                SublayerOutcome {
-                    config: self,
-                    gemm_cycles: gemm.cycles,
-                    rs_cycles: rs.cycles,
-                    ag_cycles: ag.cycles,
-                    total_cycles: gemm.cycles.max(rs.cycles) + ag.cycles,
-                    stats,
-                }
-            }
+        if let Some(opts) = self.fused_options() {
+            let fused = run_fused_gemm_rs(sys, grid, &FusedOptions { mode, ..opts });
+            let mut stats = fused.stats.clone();
+            stats.merge(&ag.stats);
+            return SublayerOutcome {
+                config: self,
+                gemm_cycles: fused.cycles,
+                rs_cycles: 0,
+                ag_cycles: ag.cycles,
+                total_cycles: fused.cycles + ag.cycles,
+                stats,
+            };
+        }
+        // Sequential and the ideals: an isolated GEMM and a ring RS,
+        // back to back or (ideally) fully overlapped.
+        let gemm = run_gemm_isolated_in_mode(sys, grid, WritePolicy::CachedLocal, mode);
+        let rs = RingCollective::baseline(CollectiveKind::ReduceScatter, payload, sys)
+            .with_nmc(self == Configuration::IdealRsNmc)
+            .simulate(sys);
+        let mut stats = gemm.stats.clone();
+        stats.merge(&rs.stats);
+        stats.merge(&ag.stats);
+        let gemm_and_rs = if self == Configuration::Sequential {
+            gemm.cycles + rs.cycles
+        } else {
+            gemm.cycles.max(rs.cycles)
+        };
+        SublayerOutcome {
+            config: self,
+            gemm_cycles: gemm.cycles,
+            rs_cycles: rs.cycles,
+            ag_cycles: ag.cycles,
+            total_cycles: gemm_and_rs + ag.cycles,
+            stats,
         }
     }
 
     /// The fused-run options equivalent to this configuration, when it
     /// is a T3 variant.
     pub fn fused_options(self) -> Option<FusedOptions> {
-        match self {
-            Configuration::T3 => Some(FusedOptions {
-                policy: PolicyChoice::RoundRobin,
-                substrate: ReductionSubstrate::NearMemory,
-                stagger: true,
-                timeseries_bucket: None,
-                mode: SimMode::default(),
-            }),
-            Configuration::T3Mca => Some(FusedOptions {
-                policy: PolicyChoice::McaDynamic,
-                substrate: ReductionSubstrate::NearMemory,
-                stagger: true,
-                timeseries_bucket: None,
-                mode: SimMode::default(),
-            }),
-            _ => None,
-        }
+        let policy = match self {
+            Configuration::T3 => PolicyChoice::RoundRobin,
+            Configuration::T3Mca => PolicyChoice::McaDynamic,
+            _ => return None,
+        };
+        Some(FusedOptions {
+            policy,
+            ..FusedOptions::default()
+        })
     }
 }
 

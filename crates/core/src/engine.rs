@@ -26,9 +26,13 @@
 //! All DRAM traffic flows through one [`MemoryController`] under the
 //! configured arbitration policy — this is where T3 and T3-MCA differ
 //! (Sections 4.5, 6.1.2, 6.1.3).
+//!
+//! Each engine is a [`Clocked`] composition of its components, advanced
+//! by [`t3_sim::drive`]. The wavefront-region walker, the incoming-update
+//! feed and the proportional mirror below are shared with the explicit
+//! N-GPU engine in [`crate::multigpu`].
 
 use std::collections::VecDeque;
-use std::sync::OnceLock;
 
 use crate::addrmap::{ChunkRoute, OutputConfig};
 use crate::tracker::{Tracker, TrackerConfig, WfId};
@@ -39,20 +43,13 @@ use t3_mem::controller::{MemoryController, StreamId};
 use t3_mem::llc::Llc;
 use t3_mem::nmc::ReductionSubstrate;
 use t3_net::dma::{DmaCommand, DmaEngine};
+use t3_net::link::Link;
 use t3_net::ring::Ring;
 use t3_sim::config::SystemConfig;
 use t3_sim::stats::{TrafficClass, TrafficStats};
 use t3_sim::timeseries::TimeSeries;
-use t3_sim::{Bytes, Cycle, SimMode};
+use t3_sim::{drive, Bytes, Clocked, Cycle, SimMode};
 use t3_trace::{reborrow, Event, Instruments};
-
-/// One-time lookup of the `T3_TRACE` debug-print switch. The cycle
-/// loops must never call `std::env::var` (it takes a process-global
-/// lock); the flag cannot change mid-run anyway.
-fn debug_trace() -> bool {
-    static FLAG: OnceLock<bool> = OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var("T3_TRACE").is_ok())
-}
 
 /// Arbitration policy selection for a fused run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,7 +65,7 @@ pub enum PolicyChoice {
 }
 
 impl PolicyChoice {
-    fn build(self, sys: &SystemConfig) -> Box<dyn ArbitrationPolicy> {
+    pub(crate) fn build(self, sys: &SystemConfig) -> Box<dyn ArbitrationPolicy> {
         match self {
             PolicyChoice::RoundRobin => Box::new(RoundRobinPolicy::new()),
             PolicyChoice::ComputeFirst => Box::new(ComputeFirstPolicy::new()),
@@ -109,15 +106,6 @@ impl Default for FusedOptions {
     }
 }
 
-/// Minimum of two optional event cycles (`None` = no event).
-pub(crate) fn min_event(a: Option<Cycle>, b: Option<Cycle>) -> Option<Cycle> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.min(y)),
-        (x, None) => x,
-        (None, y) => y,
-    }
-}
-
 /// Outcome of a fused GEMM-RS timing run.
 #[derive(Debug, Clone)]
 pub struct FusedRunResult {
@@ -141,13 +129,11 @@ const TAG_REMOTE: u64 = 1 << 32;
 
 #[derive(Debug)]
 struct ChunkState {
-    wg_bounds: (u64, u64),
     bytes: Bytes,
     route: ChunkRoute,
     triggered_wfs: usize,
     expected_wfs: usize,
     dma_fired: bool,
-    incoming_announced: Bytes,
     feed_built: bool,
 }
 
@@ -159,14 +145,191 @@ struct PendingIncoming {
     bytes: Bytes,
 }
 
-/// A wavefront region in the incoming-update attribution FIFO.
+/// Removes and returns the announcements due by `now`, in swap-remove
+/// scan order (the order their comm-stream enqueues happen in).
+fn take_due(pending: &mut Vec<PendingIncoming>, now: Cycle) -> Vec<PendingIncoming> {
+    let mut due = Vec::new();
+    let mut i = 0;
+    while i < pending.len() {
+        if pending[i].at <= now {
+            due.push(pending.swap_remove(i));
+        } else {
+            i += 1;
+        }
+    }
+    due
+}
+
+/// The earliest pending announcement, clamped forward to `now + 1`.
+fn next_due(pending: &[PendingIncoming], now: Cycle) -> Option<Cycle> {
+    pending.iter().map(|p| p.at.max(now + 1)).min()
+}
+
+/// One non-empty wavefront output region: the unit the [`Tracker`]
+/// counts.
 #[derive(Debug, Clone, Copy)]
-struct FeedEntry {
-    position: usize,
+pub(crate) struct WfRegion {
     wf: WfId,
     addr: u64,
+    elems: u64,
+}
+
+/// Every non-empty WF output region of the WGs in `[w0, w1)`, in WG/WF
+/// order.
+pub(crate) fn wf_regions(
+    grid: &GemmGrid,
+    (w0, w1): (u64, u64),
+) -> impl Iterator<Item = WfRegion> + '_ {
+    let wfs = grid.wfs_per_wg();
+    let elem_bytes = grid.shape().elem_bytes;
+    (w0..w1).flat_map(move |wg| {
+        let t = grid.wg_tile(wg);
+        let (base, _) = grid.wg_output_region(wg);
+        (0..wfs).filter_map(move |wf| {
+            let (r0, r1) = crate::fused::wf_rows(t.height as usize, wfs, wf);
+            let elems = ((r1 - r0) as u64) * t.width;
+            (elems > 0).then(|| WfRegion {
+                wf: WfId { wg, wf },
+                addr: base + (r0 as u64) * t.width * elem_bytes,
+                elems,
+            })
+        })
+    })
+}
+
+/// Records local NMC-update stores for the WGs in `bounds` (one full
+/// region per WF, counted when the stores enter the memory-controller
+/// queue) and returns how many WF regions completed.
+pub(crate) fn record_local(
+    grid: &GemmGrid,
+    tracker: &mut Tracker,
+    bounds: (u64, u64),
+    updates: u32,
+) -> usize {
+    wf_regions(grid, bounds)
+        .filter(|r| {
+            tracker
+                .record_update(r.wf, r.addr, r.elems, r.elems, updates)
+                .is_some()
+        })
+        .count()
+}
+
+/// A wavefront region in the incoming-update attribution FIFO.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FeedEntry {
+    pub(crate) position: usize,
+    region: WfRegion,
+    updates: u32,
     region_bytes: Bytes,
     consumed_bytes: Bytes,
+}
+
+/// The incoming-update attribution FIFO: serviced comm-stream update
+/// bytes are credited to WF regions in announcement order, and each
+/// completed region is counted by the tracker.
+#[derive(Debug, Default)]
+pub(crate) struct Feed {
+    entries: VecDeque<FeedEntry>,
+    serviced_seen: Bytes,
+}
+
+impl Feed {
+    /// Appends one full pass over the WF regions of `bounds`, whose
+    /// elements expect `updates` updates each. Attribution advances only
+    /// as the memory controller services announced bytes, so queueing a
+    /// whole chunk up front is safe.
+    pub(crate) fn push_chunk(
+        &mut self,
+        grid: &GemmGrid,
+        bounds: (u64, u64),
+        position: usize,
+        updates: u32,
+    ) {
+        let elem_bytes = grid.shape().elem_bytes;
+        self.entries
+            .extend(wf_regions(grid, bounds).map(|region| FeedEntry {
+                position,
+                region,
+                updates,
+                region_bytes: region.elems * elem_bytes,
+                consumed_bytes: 0,
+            }));
+    }
+
+    /// Credits the controller's cumulative `serviced` update bytes to
+    /// the FIFO in order, recording each fully serviced region in the
+    /// tracker and calling `fired` for every region whose tracker entry
+    /// completes.
+    pub(crate) fn attribute(
+        &mut self,
+        serviced: Bytes,
+        tracker: &mut Tracker,
+        mut fired: impl FnMut(&FeedEntry),
+    ) {
+        if serviced <= self.serviced_seen {
+            return;
+        }
+        let mut delta = serviced - self.serviced_seen;
+        self.serviced_seen = serviced;
+        while delta > 0 {
+            let entry = self
+                .entries
+                .front_mut()
+                .expect("serviced more than announced");
+            let take = delta.min(entry.region_bytes - entry.consumed_bytes);
+            entry.consumed_bytes += take;
+            delta -= take;
+            if entry.consumed_bytes == entry.region_bytes {
+                let e = *entry;
+                self.entries.pop_front();
+                let r = e.region;
+                if tracker
+                    .record_update(r.wf, r.addr, r.elems, r.elems, e.updates)
+                    .is_some()
+                {
+                    fired(&e);
+                }
+            }
+        }
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+}
+
+/// Exact proportional mirroring of an outgoing chunk onto an incoming
+/// one: once `sent` bytes of a `src_total`-byte chunk have left,
+/// `sent * dst_total / src_total` bytes of the mirrored chunk have
+/// arrived — all of it once the source completes, so rounding never
+/// loses bytes.
+#[derive(Debug, Default, Clone)]
+struct Mirror {
+    sent: Bytes,
+    announced: Bytes,
+}
+
+impl Mirror {
+    /// Records `bytes` more sent; returns the newly mirrored bytes.
+    fn advance(&mut self, bytes: Bytes, src_total: Bytes, dst_total: Bytes) -> Bytes {
+        self.sent += bytes;
+        let target = if self.sent >= src_total {
+            dst_total
+        } else {
+            self.sent.saturating_mul(dst_total) / src_total
+        };
+        let mirrored = target.saturating_sub(self.announced);
+        self.announced += mirrored;
+        mirrored
+    }
+}
+
+pub(crate) fn position_of_wg(bounds: &[(u64, u64)], wg: u64) -> usize {
+    bounds
+        .iter()
+        .position(|&(w0, w1)| wg >= w0 && wg < w1)
+        .expect("wg outside chunk space")
 }
 
 /// Runs the fused GEMM + ring reduce-scatter on one (mirrored) GPU.
@@ -215,17 +378,14 @@ pub fn run_fused_gemm_rs_instrumented(
     sys: &SystemConfig,
     grid: GemmGrid,
     opts: &FusedOptions,
-    mut ins: Option<&mut Instruments>,
+    ins: Option<&mut Instruments>,
 ) -> FusedRunResult {
     assert!(
         opts.substrate.reduces_in_memory(),
         "fused T3 requires an in-memory reduction substrate"
     );
     let n = sys.num_gpus;
-    let ring = Ring::new(n);
-    let config = OutputConfig::ring_reduce_scatter(ring, 0);
-    let elem_bytes = grid.shape().elem_bytes;
-    let update_cost = opts.substrate.update_cost_multiplier(&sys.mem);
+    let config = OutputConfig::ring_reduce_scatter(Ring::new(n), 0);
 
     // Position p is the p-th chunk this GPU computes. Ring-RS has two
     // mirror-image schedules (send-to-next with descending chunk order,
@@ -233,39 +393,26 @@ pub fn run_fused_gemm_rs_instrumented(
     // that the staggered schedule of the simulated GPU coincides with
     // the GEMM's natural WG order — the routes per position (warm-up
     // remote, N-2 DMA steps, owned last) are identical either way.
-    let mut chunks: Vec<ChunkState> = (0..n)
+    let bounds: Vec<(u64, u64)> = (0..n)
+        .map(|p| grid.chunk_wg_bounds(n as u64, p as u64))
+        .collect();
+    let chunks: Vec<ChunkState> = (0..n)
         .map(|p| {
-            let (w0, w1) = grid.chunk_wg_bounds(n as u64, p as u64);
-            let route = config.route(p);
+            let (wg_bounds, route) = (bounds[p], config.route(p));
             ChunkState {
-                wg_bounds: (w0, w1),
-                bytes: grid.wg_range_output_bytes(w0, w1),
+                bytes: grid.wg_range_output_bytes(wg_bounds.0, wg_bounds.1),
                 route,
                 triggered_wfs: 0,
                 expected_wfs: if route.tracked() {
-                    count_nonempty_wfs(&grid, w0, w1)
+                    wf_regions(&grid, wg_bounds).count()
                 } else {
                     0
                 },
                 dma_fired: false,
-                incoming_announced: 0,
                 feed_built: false,
             }
         })
         .collect();
-    let bounds: Vec<(u64, u64)> = chunks.iter().map(|c| c.wg_bounds).collect();
-
-    let mut mc = MemoryController::new(&sys.mem, opts.policy.build(sys));
-    let mut llc = Llc::new(&sys.mem);
-    let mut gemm = GemmEngine::new(&sys.gpu, grid.clone());
-    let mut dma = DmaEngine::new(&sys.link);
-    let mut tracker = Tracker::new(TrackerConfig::paper(grid.wf_tile_elems()));
-    let mut ts = opts.timeseries_bucket.map(TimeSeries::new);
-
-    let mut pending_incoming: Vec<PendingIncoming> = Vec::new();
-    let mut feed: VecDeque<FeedEntry> = VecDeque::new();
-    let mut rs_update_seen: Bytes = 0;
-    let mut remote_delivered: Bytes = 0;
 
     // Extra delay applied to incoming announcements when stagger is
     // disabled: the ring pipeline depth that fine-grained overlap can
@@ -280,277 +427,41 @@ pub fn run_fused_gemm_rs_instrumented(
                 + sys.link.latency_cycles())
     };
 
-    let mut remote_seq: u64 = 0;
-    let mut first_stage_done = false;
-    let mut gemm_done = false;
-    let mut dma_transfers = 0u64;
-    let mut now: Cycle = 0;
-
+    let mut mc = MemoryController::new(&sys.mem, opts.policy.build(sys));
     mc.reset_occupancy_window();
+    let mut run = RingRs {
+        grid: &grid,
+        update_cost: opts.substrate.update_cost_multiplier(&sys.mem),
+        no_stagger_delay,
+        bounds,
+        chunks,
+        mc,
+        llc: Llc::new(&sys.mem),
+        gemm: GemmEngine::new(&sys.gpu, grid.clone()),
+        dma: DmaEngine::new(&sys.link),
+        tracker: Tracker::new(TrackerConfig::paper(grid.wf_tile_elems())),
+        ts: opts.timeseries_bucket.map(TimeSeries::new),
+        pending: Vec::new(),
+        feed: Feed::default(),
+        warmup: Mirror::default(),
+        remote_seq: 0,
+        first_stage_done: false,
+        gemm_done: false,
+        dma_transfers: 0,
+        ins,
+    };
+    let now = drive(&mut run, opts.mode, 0, None);
 
-    loop {
-        mc.step_traced(now, ts.as_mut(), reborrow(&mut ins));
-
-        // 1. Attribute newly serviced incoming updates to the tracker.
-        let serviced = mc.stats().bytes(TrafficClass::RsUpdate);
-        if serviced > rs_update_seen {
-            let mut delta = serviced - rs_update_seen;
-            rs_update_seen = serviced;
-            while delta > 0 {
-                let entry = feed.front_mut().expect("serviced more than announced");
-                let take = delta.min(entry.region_bytes - entry.consumed_bytes);
-                entry.consumed_bytes += take;
-                delta -= take;
-                if entry.consumed_bytes == entry.region_bytes {
-                    let e = *entry;
-                    feed.pop_front();
-                    let region_elems = e.region_bytes / elem_bytes;
-                    let updates = chunks[e.position].route.updates_per_element();
-                    if tracker
-                        .record_update(e.wf, e.addr, region_elems, region_elems, updates)
-                        .is_some()
-                    {
-                        chunks[e.position].triggered_wfs += 1;
-                        if let Some(ins) = reborrow(&mut ins) {
-                            if ins.tracer.as_ref().is_some_and(|t| t.fine()) {
-                                ins.record(
-                                    now,
-                                    Event::TrackerUpdate {
-                                        wg: e.wf.wg,
-                                        wf: e.wf.wf as u64,
-                                        addr: e.addr,
-                                    },
-                                );
-                            }
-                            ins.add("tracker.wf_completions", 1);
-                        }
-                    }
-                }
-            }
-        }
-
-        // 2. Release due incoming announcements into the comm stream.
-        let mut i = 0;
-        while i < pending_incoming.len() {
-            if pending_incoming[i].at <= now {
-                let p = pending_incoming.swap_remove(i);
-                if !chunks[p.position].feed_built {
-                    build_feed(&grid, &chunks, &mut feed, p.position, elem_bytes);
-                    chunks[p.position].feed_built = true;
-                }
-                mc.enqueue(StreamId::Comm, TrafficClass::RsUpdate, p.bytes, update_cost);
-            } else {
-                i += 1;
-            }
-        }
-
-        // 3. Advance the producer GEMM.
-        match gemm.step(now, &mut mc, &mut llc) {
-            GemmEvent::Idle => {}
-            GemmEvent::Finished => gemm_done = true,
-            GemmEvent::StageStoresIssued {
-                stage,
-                wg_start,
-                wg_end,
-                bytes,
-                started,
-                compute_cycles,
-            } => {
-                if debug_trace() {
-                    eprintln!("[{now}] stage stores {wg_start}..{wg_end}");
-                }
-                if let Some(ins) = reborrow(&mut ins) {
-                    ins.record(
-                        now,
-                        Event::GemmStage {
-                            stage,
-                            wg_start,
-                            wg_end,
-                            start: started,
-                            end: now,
-                            bytes,
-                            compute_cycles,
-                        },
-                    );
-                    ins.add("gemm.stages", 1);
-                    ins.observe("gemm.stage_cycles", now - started);
-                }
-                if !first_stage_done {
-                    // T3-MCA's first-stage memory-intensity probe
-                    // (Section 4.5): the first stage ran before any
-                    // communication traffic existed.
-                    mc.observe_compute_intensity(mc.avg_occupancy_fraction());
-                    first_stage_done = true;
-                }
-                // Split the stage's WGs across chunk boundaries.
-                let mut wg = wg_start;
-                while wg < wg_end {
-                    let pos = position_of_wg(&bounds, wg);
-                    let upper = chunks[pos].wg_bounds.1.min(wg_end);
-                    let bytes = grid.wg_range_output_bytes(wg, upper);
-                    match chunks[pos].route {
-                        ChunkRoute::RemoteUpdate { .. } => {
-                            // Warm-up chunk: stores go straight onto the
-                            // link; the mirrored incoming copy for the
-                            // next chunk arrives at delivery time.
-                            dma.send_direct_traced(
-                                now,
-                                TAG_REMOTE + remote_seq,
-                                bytes,
-                                reborrow(&mut ins),
-                            );
-                            remote_seq += 1;
-                        }
-                        ChunkRoute::LocalOnly { .. } | ChunkRoute::LocalThenDmaUpdate { .. } => {
-                            // Uncached NMC update stores on the compute
-                            // stream; tracked at MCQ enqueue.
-                            mc.enqueue(
-                                StreamId::Compute,
-                                TrafficClass::GemmWrite,
-                                bytes,
-                                update_cost,
-                            );
-                            record_local_updates(
-                                &grid,
-                                &mut tracker,
-                                &mut chunks,
-                                pos,
-                                wg,
-                                upper,
-                                elem_bytes,
-                            );
-                        }
-                        _ => unreachable!("ring-RS uses no other routes"),
-                    }
-                    wg = upper;
-                }
-            }
-        }
-
-        // 4. DMA engine: our deliveries mirror incoming traffic.
-        for delivery in dma.step_traced(now, &mut mc, reborrow(&mut ins)) {
-            if debug_trace() {
-                eprintln!(
-                    "[{now}] delivery tag {} bytes {}",
-                    delivery.tag, delivery.bytes
-                );
-            }
-            if delivery.tag < TAG_REMOTE {
-                // Mirrored: our chunk reaching the neighbour IS the
-                // next chunk's incoming copy arriving here.
-                if let Some(ins) = reborrow(&mut ins) {
-                    ins.record(
-                        now,
-                        Event::ChunkRecv {
-                            chunk: delivery.tag + 1,
-                            bytes: delivery.bytes,
-                        },
-                    );
-                    ins.add("chunks.received", 1);
-                }
-            }
-            if delivery.tag >= TAG_REMOTE {
-                // A warm-up portion reached the neighbour; announce the
-                // proportional mirrored portion of our position-1 chunk.
-                remote_delivered += delivery.bytes;
-                let src_total = chunks[0].bytes;
-                let dst_total = chunks[1].bytes;
-                let target =
-                    (remote_delivered.saturating_mul(dst_total) / src_total).min(dst_total);
-                let incoming = target.saturating_sub(chunks[1].incoming_announced);
-                if incoming > 0 {
-                    chunks[1].incoming_announced += incoming;
-                    pending_incoming.push(PendingIncoming {
-                        at: now + no_stagger_delay,
-                        position: 1,
-                        bytes: incoming,
-                    });
-                }
-            } else {
-                // Our chunk at position `tag` was delivered; the
-                // mirrored copy for position `tag + 1` arrives now.
-                let next = delivery.tag as usize + 1;
-                assert!(next < chunks.len(), "owned chunk is never DMA'd");
-                let bytes = chunks[next].bytes - chunks[next].incoming_announced;
-                if bytes > 0 {
-                    chunks[next].incoming_announced += bytes;
-                    pending_incoming.push(PendingIncoming {
-                        at: now + no_stagger_delay,
-                        position: next,
-                        bytes,
-                    });
-                }
-            }
-        }
-
-        // 5. Fire DMAs for completed steady-state chunks.
-        for (pos, chunk) in chunks.iter_mut().enumerate() {
-            if chunk.route.uses_dma()
-                && !chunk.dma_fired
-                && chunk.triggered_wfs == chunk.expected_wfs
-            {
-                chunk.dma_fired = true;
-                dma_transfers += 1;
-                if debug_trace() {
-                    eprintln!("[{now}] DMA fire pos {pos}");
-                }
-                if let Some(ins) = reborrow(&mut ins) {
-                    ins.record(
-                        now,
-                        Event::DmaTriggerFire {
-                            chunk: pos as u64,
-                            bytes: chunk.bytes,
-                        },
-                    );
-                    ins.add("dma.triggers_fired", 1);
-                }
-                dma.trigger(DmaCommand {
-                    id: pos as u64,
-                    bytes: chunk.bytes,
-                    read_class: TrafficClass::RsRead,
-                });
-            }
-        }
-
-        // Completion: producer done, every tracked chunk complete, all
-        // queues and wires drained.
-        let chunks_done = chunks
-            .iter()
-            .all(|c| !c.route.tracked() || c.triggered_wfs == c.expected_wfs);
-        if gemm_done
-            && chunks_done
-            && pending_incoming.is_empty()
-            && feed.is_empty()
-            && dma.is_idle(now)
-            && mc.is_idle()
-        {
-            break;
-        }
-
-        // Fast-forward: with the controller quiescent, nothing can
-        // happen before the earliest component event — leap straight to
-        // it, replaying the skipped controller bookkeeping. A tracker
-        // fire can only follow a controller service or a GEMM store,
-        // both of which require an event first, so no fire is skipped.
-        now = if opts.mode == SimMode::FastForward && mc.is_idle() {
-            let pending_at = pending_incoming.iter().map(|p| p.at.max(now + 1)).min();
-            let target = min_event(
-                min_event(gemm.next_event(now, &mc), dma.next_event(now, &mc)),
-                pending_at,
-            );
-            match target {
-                Some(t) if t > now + 1 => {
-                    mc.skip_idle(now + 1, t, reborrow(&mut ins));
-                    t
-                }
-                _ => now + 1,
-            }
-        } else {
-            now + 1
-        };
-        assert!(now < 4_000_000_000, "fused run failed to converge");
-    }
-
+    let RingRs {
+        mc,
+        llc,
+        dma,
+        tracker,
+        ts,
+        dma_transfers,
+        mut ins,
+        ..
+    } = run;
     if let Some(ins) = reborrow(&mut ins) {
         ins.record(
             now,
@@ -580,6 +491,249 @@ pub fn run_fused_gemm_rs_instrumented(
     }
 }
 
+/// The mirrored ring-RS GPU: its components plus the fused-schedule
+/// bookkeeping that couples them.
+struct RingRs<'a> {
+    grid: &'a GemmGrid,
+    update_cost: f64,
+    no_stagger_delay: Cycle,
+    bounds: Vec<(u64, u64)>,
+    chunks: Vec<ChunkState>,
+    mc: MemoryController,
+    llc: Llc,
+    gemm: GemmEngine,
+    dma: DmaEngine,
+    tracker: Tracker,
+    ts: Option<TimeSeries>,
+    pending: Vec<PendingIncoming>,
+    feed: Feed,
+    /// Mirrors the warm-up chunk's remote stores onto position 1.
+    warmup: Mirror,
+    remote_seq: u64,
+    first_stage_done: bool,
+    gemm_done: bool,
+    dma_transfers: u64,
+    ins: Option<&'a mut Instruments>,
+}
+
+impl Clocked for RingRs<'_> {
+    fn step(&mut self, now: Cycle) {
+        self.mc
+            .step_traced(now, self.ts.as_mut(), reborrow(&mut self.ins));
+
+        // 1. Attribute newly serviced incoming updates to the tracker.
+        let serviced = self.mc.stats().bytes(TrafficClass::RsUpdate);
+        let (chunks, ins) = (&mut self.chunks, &mut self.ins);
+        self.feed.attribute(serviced, &mut self.tracker, |e| {
+            chunks[e.position].triggered_wfs += 1;
+            if let Some(ins) = reborrow(ins) {
+                if ins.tracer.as_ref().is_some_and(|t| t.fine()) {
+                    ins.record(
+                        now,
+                        Event::TrackerUpdate {
+                            wg: e.region.wf.wg,
+                            wf: e.region.wf.wf as u64,
+                            addr: e.region.addr,
+                        },
+                    );
+                }
+                ins.add("tracker.wf_completions", 1);
+            }
+        });
+
+        // 2. Release due incoming announcements into the comm stream.
+        for p in take_due(&mut self.pending, now) {
+            let chunk = &mut self.chunks[p.position];
+            if !chunk.feed_built {
+                let (bounds, updates) =
+                    (self.bounds[p.position], chunk.route.updates_per_element());
+                self.feed.push_chunk(self.grid, bounds, p.position, updates);
+                chunk.feed_built = true;
+            }
+            self.mc.enqueue(
+                StreamId::Comm,
+                TrafficClass::RsUpdate,
+                p.bytes,
+                self.update_cost,
+            );
+        }
+
+        // 3. Advance the producer GEMM.
+        match self.gemm.step(now, &mut self.mc, &mut self.llc) {
+            GemmEvent::Idle => {}
+            GemmEvent::Finished => self.gemm_done = true,
+            GemmEvent::StageStoresIssued {
+                stage,
+                wg_start,
+                wg_end,
+                bytes,
+                started,
+                compute_cycles,
+            } => {
+                if let Some(ins) = reborrow(&mut self.ins) {
+                    ins.record(
+                        now,
+                        Event::GemmStage {
+                            stage,
+                            wg_start,
+                            wg_end,
+                            start: started,
+                            end: now,
+                            bytes,
+                            compute_cycles,
+                        },
+                    );
+                    ins.add("gemm.stages", 1);
+                    ins.observe("gemm.stage_cycles", now - started);
+                }
+                if !self.first_stage_done {
+                    // T3-MCA's first-stage memory-intensity probe
+                    // (Section 4.5): the first stage ran before any
+                    // communication traffic existed.
+                    self.mc
+                        .observe_compute_intensity(self.mc.avg_occupancy_fraction());
+                    self.first_stage_done = true;
+                }
+                // Split the stage's WGs across chunk boundaries.
+                let mut wg = wg_start;
+                while wg < wg_end {
+                    let pos = position_of_wg(&self.bounds, wg);
+                    let upper = self.bounds[pos].1.min(wg_end);
+                    let bytes = self.grid.wg_range_output_bytes(wg, upper);
+                    let chunk = &mut self.chunks[pos];
+                    match chunk.route {
+                        ChunkRoute::RemoteUpdate { .. } => {
+                            // Warm-up chunk: stores go straight onto the
+                            // link; the mirrored incoming copy for the
+                            // next chunk arrives at delivery time.
+                            self.dma.send_direct_traced(
+                                now,
+                                TAG_REMOTE + self.remote_seq,
+                                bytes,
+                                reborrow(&mut self.ins),
+                            );
+                            self.remote_seq += 1;
+                        }
+                        ChunkRoute::LocalOnly { .. } | ChunkRoute::LocalThenDmaUpdate { .. } => {
+                            // Uncached NMC update stores on the compute
+                            // stream; tracked at MCQ enqueue.
+                            self.mc.enqueue(
+                                StreamId::Compute,
+                                TrafficClass::GemmWrite,
+                                bytes,
+                                self.update_cost,
+                            );
+                            let updates = chunk.route.updates_per_element();
+                            chunk.triggered_wfs +=
+                                record_local(self.grid, &mut self.tracker, (wg, upper), updates);
+                        }
+                        _ => unreachable!("ring-RS uses no other routes"),
+                    }
+                    wg = upper;
+                }
+            }
+        }
+
+        // 4. DMA engine: our deliveries mirror incoming traffic.
+        for delivery in self
+            .dma
+            .step_traced(now, &mut self.mc, reborrow(&mut self.ins))
+        {
+            let (position, bytes) = if delivery.tag >= TAG_REMOTE {
+                // A warm-up portion reached the neighbour; announce the
+                // proportional mirrored portion of our position-1 chunk.
+                let (src, dst) = (self.chunks[0].bytes, self.chunks[1].bytes);
+                (1, self.warmup.advance(delivery.bytes, src, dst))
+            } else {
+                // Mirrored: our chunk at position `tag` reaching the
+                // neighbour IS the incoming copy for position `tag + 1`
+                // arriving here (each DMA'd chunk is delivered once).
+                if let Some(ins) = reborrow(&mut self.ins) {
+                    ins.record(
+                        now,
+                        Event::ChunkRecv {
+                            chunk: delivery.tag + 1,
+                            bytes: delivery.bytes,
+                        },
+                    );
+                    ins.add("chunks.received", 1);
+                }
+                let next = delivery.tag as usize + 1;
+                assert!(next < self.chunks.len(), "owned chunk is never DMA'd");
+                (next, self.chunks[next].bytes)
+            };
+            if bytes > 0 {
+                self.pending.push(PendingIncoming {
+                    at: now + self.no_stagger_delay,
+                    position,
+                    bytes,
+                });
+            }
+        }
+
+        // 5. Fire DMAs for completed steady-state chunks.
+        for (pos, chunk) in self.chunks.iter_mut().enumerate() {
+            if chunk.route.uses_dma()
+                && !chunk.dma_fired
+                && chunk.triggered_wfs == chunk.expected_wfs
+            {
+                chunk.dma_fired = true;
+                self.dma_transfers += 1;
+                if let Some(ins) = reborrow(&mut self.ins) {
+                    ins.record(
+                        now,
+                        Event::DmaTriggerFire {
+                            chunk: pos as u64,
+                            bytes: chunk.bytes,
+                        },
+                    );
+                    ins.add("dma.triggers_fired", 1);
+                }
+                self.dma.trigger(DmaCommand {
+                    id: pos as u64,
+                    bytes: chunk.bytes,
+                    read_class: TrafficClass::RsRead,
+                });
+            }
+        }
+    }
+
+    /// A busy controller pins the next cycle; otherwise the earliest
+    /// component event. A tracker fire can only follow a controller
+    /// service or a GEMM store, both of which are events themselves, so
+    /// leaping to the earliest component event never skips a fire.
+    fn next_event(&self, now: Cycle) -> Option<Cycle> {
+        self.mc.next_event(now).or_else(|| {
+            [
+                self.gemm.next_event(now, &self.mc),
+                self.dma.next_event(now, &self.mc),
+                next_due(&self.pending, now),
+            ]
+            .into_iter()
+            .flatten()
+            .min()
+        })
+    }
+
+    fn skip_idle(&mut self, from: Cycle, to: Cycle) {
+        self.mc.skip_idle(from, to, reborrow(&mut self.ins));
+    }
+
+    /// Producer done, every tracked chunk complete, all queues and
+    /// wires drained.
+    fn is_done(&self, now: Cycle) -> bool {
+        self.gemm_done
+            && self
+                .chunks
+                .iter()
+                .all(|c| !c.route.tracked() || c.triggered_wfs == c.expected_wfs)
+            && self.pending.is_empty()
+            && self.feed.is_empty()
+            && self.dma.is_idle(now)
+            && self.mc.is_idle()
+    }
+}
+
 /// Runs the fused GEMM + *direct* reduce-scatter of Section 7.1 on a
 /// fully-connected topology: every non-owned chunk leaves as
 /// fine-grained remote updates on a dedicated link while the GEMM
@@ -600,207 +754,13 @@ pub fn run_fused_gemm_direct_rs(
         opts.substrate.reduces_in_memory(),
         "fused T3 requires an in-memory reduction substrate"
     );
-    let n = sys.num_gpus;
-    let update_cost = opts.substrate.update_cost_multiplier(&sys.mem);
     // Simulated device 0 owns chunk 0; all other chunks are
     // remote-mapped to their owners over dedicated links.
-    let config = OutputConfig::direct_reduce_scatter(n, 0);
-    let owned_updates = config.route(0).updates_per_element();
-    let (w0, w1) = grid.chunk_wg_bounds(n as u64, 0);
-    let owned_bytes = grid.wg_range_output_bytes(w0, w1);
-    let elem_bytes = grid.shape().elem_bytes;
-
-    let mut mc = MemoryController::new(&sys.mem, opts.policy.build(sys));
-    let mut llc = Llc::new(&sys.mem);
-    let mut gemm = GemmEngine::new(&sys.gpu, grid.clone());
-    // One outbound link per peer on the fully-connected topology; all
-    // carry fine-grained remote stores.
-    let mut links: Vec<t3_net::link::Link> = (0..n - 1)
-        .map(|_| t3_net::link::Link::new(&sys.link))
-        .collect();
-    let mut tracker = Tracker::new(TrackerConfig::paper(grid.wf_tile_elems()));
-    let mut ts = opts.timeseries_bucket.map(TimeSeries::new);
-
-    // Incoming mirror: each peer streams updates for our owned chunk
-    // as it computes the corresponding region; by homogeneity, peer p
-    // produces our chunk's updates at the same time we produce chunk
-    // p's stores. Deliveries (after link latency) enter the comm
-    // stream; the tracker's feed consumes them in WF order, N-1 full
-    // passes over the owned chunk.
-    let mut feed: VecDeque<FeedEntry> = VecDeque::new();
-    for _pass in 0..(n - 1) {
-        build_direct_feed(&grid, w0, w1, &mut feed, elem_bytes);
-    }
-    let mut rs_update_seen: Bytes = 0;
-    let mut pending_incoming: Vec<(Cycle, Bytes)> = Vec::new();
-    // Exact proportional mirroring per peer chunk: bytes sent so far
-    // and incoming bytes announced so far (avoids rounding loss).
-    let mut sent_per_chunk: Vec<Bytes> = vec![0; n];
-    let mut announced_per_chunk: Vec<Bytes> = vec![0; n];
-    let mut triggered_wfs = 0usize;
-    let expected_wfs = count_nonempty_wfs(&grid, w0, w1);
-    let mut first_stage_done = false;
-    let mut gemm_done = false;
-    let mut now: Cycle = 0;
-    mc.reset_occupancy_window();
-
-    loop {
-        mc.step(now, ts.as_mut());
-
-        // Attribute serviced incoming updates to the tracker.
-        let serviced = mc.stats().bytes(TrafficClass::RsUpdate);
-        if serviced > rs_update_seen {
-            let mut delta = serviced - rs_update_seen;
-            rs_update_seen = serviced;
-            while delta > 0 {
-                let entry = feed.front_mut().expect("serviced more than announced");
-                let take = delta.min(entry.region_bytes - entry.consumed_bytes);
-                entry.consumed_bytes += take;
-                delta -= take;
-                if entry.consumed_bytes == entry.region_bytes {
-                    let e = *entry;
-                    feed.pop_front();
-                    let region_elems = e.region_bytes / elem_bytes;
-                    if tracker
-                        .record_update(e.wf, e.addr, region_elems, region_elems, owned_updates)
-                        .is_some()
-                    {
-                        triggered_wfs += 1;
-                    }
-                }
-            }
-        }
-        // Release due incoming announcements.
-        let mut i = 0;
-        while i < pending_incoming.len() {
-            if pending_incoming[i].0 <= now {
-                let (_, bytes) = pending_incoming.swap_remove(i);
-                mc.enqueue(StreamId::Comm, TrafficClass::RsUpdate, bytes, update_cost);
-            } else {
-                i += 1;
-            }
-        }
-
-        match gemm.step(now, &mut mc, &mut llc) {
-            GemmEvent::Idle => {}
-            GemmEvent::Finished => gemm_done = true,
-            GemmEvent::StageStoresIssued {
-                wg_start, wg_end, ..
-            } => {
-                if !first_stage_done {
-                    mc.observe_compute_intensity(mc.avg_occupancy_fraction());
-                    first_stage_done = true;
-                }
-                let mut wg = wg_start;
-                while wg < wg_end {
-                    // Split by chunk: chunk 0 is ours (local NMC
-                    // updates); everything else leaves on a link.
-                    let chunk = {
-                        let mut c = 0;
-                        for p in 0..n as u64 {
-                            let (a, b) = grid.chunk_wg_bounds(n as u64, p);
-                            if wg >= a && wg < b {
-                                c = p;
-                                break;
-                            }
-                        }
-                        c
-                    };
-                    let (_, cb_end) = grid.chunk_wg_bounds(n as u64, chunk);
-                    let upper = cb_end.min(wg_end);
-                    let bytes = grid.wg_range_output_bytes(wg, upper);
-                    if chunk == 0 {
-                        mc.enqueue(
-                            StreamId::Compute,
-                            TrafficClass::GemmWrite,
-                            bytes,
-                            update_cost,
-                        );
-                        record_direct_local(
-                            &grid,
-                            &mut tracker,
-                            &mut triggered_wfs,
-                            wg,
-                            upper,
-                            elem_bytes,
-                            owned_updates,
-                        );
-                    } else {
-                        // Remote stores on the dedicated link to the
-                        // chunk's owner (each peer has its own wire).
-                        let idx = (chunk as usize - 1) % links.len();
-                        let arrival = links[idx].send(now, chunk, bytes);
-                        // Mirror: a peer's remote stores for our owned
-                        // chunk arrive with the same timing,
-                        // proportionally sized to our owned chunk (an
-                        // exact cursor, so the full owned chunk is
-                        // announced once the peer chunk completes).
-                        let (ca, cb) = grid.chunk_wg_bounds(n as u64, chunk);
-                        let chunk_total = grid.wg_range_output_bytes(ca, cb);
-                        let c = chunk as usize;
-                        sent_per_chunk[c] += bytes;
-                        let target = if sent_per_chunk[c] >= chunk_total {
-                            owned_bytes
-                        } else {
-                            sent_per_chunk[c] * owned_bytes / chunk_total
-                        };
-                        let mirrored = target.saturating_sub(announced_per_chunk[c]);
-                        if mirrored > 0 {
-                            announced_per_chunk[c] = target;
-                            pending_incoming.push((arrival, mirrored));
-                        }
-                    }
-                    wg = upper;
-                }
-            }
-        }
-
-        // Drain link deliveries (arrival times were captured at send).
-        for l in &mut links {
-            let _ = l.deliveries_until(now);
-        }
-        let links_idle = links.iter().all(|l| l.is_idle(now));
-        if gemm_done
-            && triggered_wfs == expected_wfs
-            && pending_incoming.is_empty()
-            && links_idle
-            && mc.is_idle()
-        {
-            break;
-        }
-        now = if opts.mode == SimMode::FastForward && mc.is_idle() {
-            let pending_at = pending_incoming.iter().map(|p| p.0.max(now + 1)).min();
-            let link_at = links.iter().filter_map(|l| l.next_event(now)).min();
-            match min_event(min_event(gemm.next_event(now, &mc), link_at), pending_at) {
-                Some(t) if t > now + 1 => {
-                    mc.skip_idle(now + 1, t, None);
-                    t
-                }
-                _ => now + 1,
-            }
-        } else {
-            now + 1
-        };
-        if debug_trace() && now.is_multiple_of(500_000) {
-            eprintln!(
-                "[{now}] direct: gemm_done={gemm_done} trig={triggered_wfs}/{expected_wfs} pend={} feed={} mc_idle={} links_idle={}",
-                pending_incoming.len(),
-                feed.len(),
-                mc.is_idle(),
-                links.iter().all(|l| l.is_idle(now))
-            );
-        }
-        assert!(now < 4_000_000_000, "direct-RS fusion failed to converge");
-    }
-
-    FusedRunResult {
-        cycles: now,
-        stats: mc.stats().clone(),
-        timeseries: ts,
-        dma_transfers: 0,
-        peak_tracker_entries: tracker.peak_entries(),
-        link_bytes_sent: links.iter().map(|l| l.total_sent()).sum(),
-    }
+    let owned_updates = OutputConfig::direct_reduce_scatter(sys.num_gpus, 0)
+        .route(0)
+        .updates_per_element();
+    let update_cost = opts.substrate.update_cost_multiplier(&sys.mem);
+    run_direct(sys, grid, opts, Some(owned_updates), update_cost)
 }
 
 /// Runs a fused GEMM + all-to-all (Sections 7.1/7.2, expert
@@ -818,267 +778,202 @@ pub fn run_fused_gemm_all_to_all(
     grid: GemmGrid,
     opts: &FusedOptions,
 ) -> FusedRunResult {
+    run_direct(sys, grid, opts, None, 1.0)
+}
+
+/// The direct-RS / all-to-all engine. `owned_updates` is the owned
+/// chunk's reduction threshold (`None` for all-to-all: the owned slot
+/// and the incoming chunks are plain, untracked writes); `cost` is the
+/// service-cost multiplier of both the local and the incoming stores.
+fn run_direct(
+    sys: &SystemConfig,
+    grid: GemmGrid,
+    opts: &FusedOptions,
+    owned_updates: Option<u32>,
+    cost: f64,
+) -> FusedRunResult {
     let n = sys.num_gpus;
-    let (w0, w1) = grid.chunk_wg_bounds(n as u64, 0);
-    let own_bytes = grid.wg_range_output_bytes(w0, w1);
-
-    let mut mc = MemoryController::new(&sys.mem, opts.policy.build(sys));
-    let mut llc = Llc::new(&sys.mem);
-    let mut gemm = GemmEngine::new(&sys.gpu, grid.clone());
-    let mut links: Vec<t3_net::link::Link> = (0..n - 1)
-        .map(|_| t3_net::link::Link::new(&sys.link))
+    let bounds: Vec<(u64, u64)> = (0..n)
+        .map(|p| grid.chunk_wg_bounds(n as u64, p as u64))
         .collect();
-    let mut ts = opts.timeseries_bucket.map(TimeSeries::new);
-
-    let mut pending_incoming: Vec<(Cycle, Bytes)> = Vec::new();
-    let mut sent_per_chunk: Vec<Bytes> = vec![0; n];
-    let mut announced_per_chunk: Vec<Bytes> = vec![0; n];
-    let mut incoming_enqueued: Bytes = 0;
-    let mut first_stage_done = false;
-    let mut gemm_done = false;
-    let mut now: Cycle = 0;
-    mc.reset_occupancy_window();
-
-    loop {
-        mc.step(now, ts.as_mut());
-        let mut i = 0;
-        while i < pending_incoming.len() {
-            if pending_incoming[i].0 <= now {
-                let (_, bytes) = pending_incoming.swap_remove(i);
-                incoming_enqueued += bytes;
-                mc.enqueue(StreamId::Comm, TrafficClass::AgWrite, bytes, 1.0);
-            } else {
-                i += 1;
-            }
+    // Incoming mirror: each peer streams updates for our owned chunk
+    // as it computes the corresponding region; by homogeneity, peer p
+    // produces our chunk's updates at the same time we produce chunk
+    // p's stores. Deliveries (after link latency) enter the comm
+    // stream; the tracker's feed consumes them in WF order, N-1 full
+    // passes over the owned chunk.
+    let mut feed = Feed::default();
+    if let Some(updates) = owned_updates {
+        for _pass in 0..(n - 1) {
+            feed.push_chunk(&grid, bounds[0], 0, updates);
         }
-        match gemm.step(now, &mut mc, &mut llc) {
+    }
+    let mut mc = MemoryController::new(&sys.mem, opts.policy.build(sys));
+    mc.reset_occupancy_window();
+    let mut run = DirectFused {
+        grid: &grid,
+        owned_bytes: grid.wg_range_output_bytes(bounds[0].0, bounds[0].1),
+        expected_wfs: if owned_updates.is_some() {
+            wf_regions(&grid, bounds[0]).count()
+        } else {
+            0
+        },
+        bounds,
+        owned_updates,
+        cost,
+        mc,
+        llc: Llc::new(&sys.mem),
+        gemm: GemmEngine::new(&sys.gpu, grid.clone()),
+        // One outbound link per peer on the fully-connected topology;
+        // all carry fine-grained remote stores.
+        links: (0..n - 1).map(|_| Link::new(&sys.link)).collect(),
+        tracker: Tracker::new(TrackerConfig::paper(grid.wf_tile_elems())),
+        ts: opts.timeseries_bucket.map(TimeSeries::new),
+        feed,
+        pending: Vec::new(),
+        mirrors: vec![Mirror::default(); n],
+        triggered_wfs: 0,
+        first_stage_done: false,
+        gemm_done: false,
+    };
+    let now = drive(&mut run, opts.mode, 0, None);
+    FusedRunResult {
+        cycles: now,
+        stats: run.mc.stats().clone(),
+        timeseries: run.ts,
+        dma_transfers: 0,
+        peak_tracker_entries: run.tracker.peak_entries(),
+        link_bytes_sent: run.links.iter().map(|l| l.total_sent()).sum(),
+    }
+}
+
+/// The mirrored GPU of the direct-RS and all-to-all engines.
+struct DirectFused<'a> {
+    grid: &'a GemmGrid,
+    bounds: Vec<(u64, u64)>,
+    owned_bytes: Bytes,
+    owned_updates: Option<u32>,
+    cost: f64,
+    mc: MemoryController,
+    llc: Llc,
+    gemm: GemmEngine,
+    links: Vec<Link>,
+    tracker: Tracker,
+    ts: Option<TimeSeries>,
+    feed: Feed,
+    pending: Vec<PendingIncoming>,
+    /// Per peer chunk: its remote stores mirrored onto our owned chunk.
+    mirrors: Vec<Mirror>,
+    triggered_wfs: usize,
+    expected_wfs: usize,
+    first_stage_done: bool,
+    gemm_done: bool,
+}
+
+impl Clocked for DirectFused<'_> {
+    fn step(&mut self, now: Cycle) {
+        self.mc.step(now, self.ts.as_mut());
+
+        // Attribute serviced incoming updates to the tracker.
+        let serviced = self.mc.stats().bytes(TrafficClass::RsUpdate);
+        let triggered = &mut self.triggered_wfs;
+        self.feed
+            .attribute(serviced, &mut self.tracker, |_| *triggered += 1);
+        // Release due incoming announcements: reductions into the owned
+        // chunk, or plain writes into the all-to-all receive slots.
+        let incoming_class = if self.owned_updates.is_some() {
+            TrafficClass::RsUpdate
+        } else {
+            TrafficClass::AgWrite
+        };
+        for p in take_due(&mut self.pending, now) {
+            self.mc
+                .enqueue(StreamId::Comm, incoming_class, p.bytes, self.cost);
+        }
+
+        match self.gemm.step(now, &mut self.mc, &mut self.llc) {
             GemmEvent::Idle => {}
-            GemmEvent::Finished => gemm_done = true,
+            GemmEvent::Finished => self.gemm_done = true,
             GemmEvent::StageStoresIssued {
                 wg_start, wg_end, ..
             } => {
-                if !first_stage_done {
-                    mc.observe_compute_intensity(mc.avg_occupancy_fraction());
-                    first_stage_done = true;
+                if !self.first_stage_done {
+                    self.mc
+                        .observe_compute_intensity(self.mc.avg_occupancy_fraction());
+                    self.first_stage_done = true;
                 }
                 let mut wg = wg_start;
                 while wg < wg_end {
-                    let mut chunk = 0u64;
-                    for p in 0..n as u64 {
-                        let (a, b) = grid.chunk_wg_bounds(n as u64, p);
-                        if wg >= a && wg < b {
-                            chunk = p;
-                            break;
-                        }
-                    }
-                    let (ca, cb) = grid.chunk_wg_bounds(n as u64, chunk);
+                    // Split by chunk: chunk 0 is ours (local stores);
+                    // everything else leaves on a link.
+                    let chunk = position_of_wg(&self.bounds, wg);
+                    let (ca, cb) = self.bounds[chunk];
                     let upper = cb.min(wg_end);
-                    let bytes = grid.wg_range_output_bytes(wg, upper);
+                    let bytes = self.grid.wg_range_output_bytes(wg, upper);
                     if chunk == 0 {
-                        // Own slot: stays local (uncached store).
-                        mc.enqueue(StreamId::Compute, TrafficClass::GemmWrite, bytes, 1.0);
+                        self.mc.enqueue(
+                            StreamId::Compute,
+                            TrafficClass::GemmWrite,
+                            bytes,
+                            self.cost,
+                        );
+                        if let Some(updates) = self.owned_updates {
+                            self.triggered_wfs +=
+                                record_local(self.grid, &mut self.tracker, (wg, upper), updates);
+                        }
                     } else {
-                        let idx = (chunk as usize - 1) % links.len();
-                        let arrival = links[idx].send(now, chunk, bytes);
-                        let chunk_total = grid.wg_range_output_bytes(ca, cb);
-                        let c = chunk as usize;
-                        sent_per_chunk[c] += bytes;
-                        let target = if sent_per_chunk[c] >= chunk_total {
-                            own_bytes
-                        } else {
-                            sent_per_chunk[c] * own_bytes / chunk_total
-                        };
-                        let mirrored = target.saturating_sub(announced_per_chunk[c]);
+                        // Remote stores on the dedicated link to the
+                        // chunk's owner (each peer has its own wire).
+                        let idx = (chunk - 1) % self.links.len();
+                        let arrival = self.links[idx].send(now, chunk as u64, bytes);
+                        // Mirror: a peer's remote stores for our owned
+                        // chunk arrive with the same timing.
+                        let chunk_total = self.grid.wg_range_output_bytes(ca, cb);
+                        let mirrored =
+                            self.mirrors[chunk].advance(bytes, chunk_total, self.owned_bytes);
                         if mirrored > 0 {
-                            announced_per_chunk[c] = target;
-                            pending_incoming.push((arrival, mirrored));
+                            self.pending.push(PendingIncoming {
+                                at: arrival,
+                                position: 0,
+                                bytes: mirrored,
+                            });
                         }
                     }
                     wg = upper;
                 }
             }
         }
-        for l in &mut links {
+
+        // Drain link deliveries (arrival times were captured at send).
+        for l in &mut self.links {
             let _ = l.deliveries_until(now);
         }
-        let links_idle = links.iter().all(|l| l.is_idle(now));
-        if gemm_done && pending_incoming.is_empty() && links_idle && mc.is_idle() {
-            break;
-        }
-        now = if opts.mode == SimMode::FastForward && mc.is_idle() {
-            let pending_at = pending_incoming.iter().map(|p| p.0.max(now + 1)).min();
-            let link_at = links.iter().filter_map(|l| l.next_event(now)).min();
-            match min_event(min_event(gemm.next_event(now, &mc), link_at), pending_at) {
-                Some(t) if t > now + 1 => {
-                    mc.skip_idle(now + 1, t, None);
-                    t
-                }
-                _ => now + 1,
-            }
-        } else {
-            now + 1
-        };
-        assert!(now < 4_000_000_000, "all-to-all fusion failed to converge");
     }
-    let _ = incoming_enqueued;
-    FusedRunResult {
-        cycles: now,
-        stats: mc.stats().clone(),
-        timeseries: ts,
-        dma_transfers: 0,
-        peak_tracker_entries: 0,
-        link_bytes_sent: links.iter().map(|l| l.total_sent()).sum(),
-    }
-}
 
-/// Appends the owned chunk's WF regions to the attribution FIFO (one
-/// pass; the direct-RS feed is `N-1` passes).
-fn build_direct_feed(
-    grid: &GemmGrid,
-    w0: u64,
-    w1: u64,
-    feed: &mut VecDeque<FeedEntry>,
-    elem_bytes: u64,
-) {
-    let wfs = grid.wfs_per_wg();
-    for wg in w0..w1 {
-        let t = grid.wg_tile(wg);
-        let (region_addr, _) = grid.wg_output_region(wg);
-        for wf in 0..wfs {
-            let (r0, r1) = crate::fused::wf_rows(t.height as usize, wfs, wf);
-            let region_bytes = ((r1 - r0) as u64) * t.width * elem_bytes;
-            if region_bytes == 0 {
-                continue;
-            }
-            feed.push_back(FeedEntry {
-                position: 0,
-                wf: WfId { wg, wf },
-                addr: region_addr + (r0 as u64) * t.width * elem_bytes,
-                region_bytes,
-                consumed_bytes: 0,
-            });
-        }
-    }
-}
-
-/// Records the owned chunk's local NMC stores at MCQ enqueue.
-fn record_direct_local(
-    grid: &GemmGrid,
-    tracker: &mut Tracker,
-    triggered_wfs: &mut usize,
-    w0: u64,
-    w1: u64,
-    elem_bytes: u64,
-    updates: u32,
-) {
-    let wfs = grid.wfs_per_wg();
-    for wg in w0..w1 {
-        let t = grid.wg_tile(wg);
-        let (region_addr, _) = grid.wg_output_region(wg);
-        for wf in 0..wfs {
-            let (r0, r1) = crate::fused::wf_rows(t.height as usize, wfs, wf);
-            let elems = ((r1 - r0) as u64) * t.width;
-            if elems == 0 {
-                continue;
-            }
-            let addr = region_addr + (r0 as u64) * t.width * elem_bytes;
-            if tracker
-                .record_update(WfId { wg, wf }, addr, elems, elems, updates)
-                .is_some()
-            {
-                *triggered_wfs += 1;
-            }
-        }
-    }
-}
-
-fn position_of_wg(bounds: &[(u64, u64)], wg: u64) -> usize {
-    bounds
-        .iter()
-        .position(|&(w0, w1)| wg >= w0 && wg < w1)
-        .expect("wg outside chunk space")
-}
-
-/// Counts WFs with non-empty output regions in a WG range.
-fn count_nonempty_wfs(grid: &GemmGrid, w0: u64, w1: u64) -> usize {
-    let wfs = grid.wfs_per_wg();
-    (w0..w1)
-        .map(|wg| {
-            let h = grid.wg_tile(wg).height as usize;
-            (0..wfs)
-                .filter(|&wf| {
-                    let (r0, r1) = crate::fused::wf_rows(h, wfs, wf);
-                    r1 > r0
-                })
-                .count()
+    fn next_event(&self, now: Cycle) -> Option<Cycle> {
+        self.mc.next_event(now).or_else(|| {
+            let links = self.links.iter().filter_map(|l| l.next_event(now)).min();
+            [
+                self.gemm.next_event(now, &self.mc),
+                links,
+                next_due(&self.pending, now),
+            ]
+            .into_iter()
+            .flatten()
+            .min()
         })
-        .sum()
-}
-
-/// Records local NMC-update stores for WGs `[w0, w1)` of the chunk at
-/// `pos` in the tracker (one full region per WF, counted when the
-/// stores enter the memory-controller queue).
-fn record_local_updates(
-    grid: &GemmGrid,
-    tracker: &mut Tracker,
-    chunks: &mut [ChunkState],
-    pos: usize,
-    w0: u64,
-    w1: u64,
-    elem_bytes: u64,
-) {
-    let wfs = grid.wfs_per_wg();
-    let updates = chunks[pos].route.updates_per_element();
-    for wg in w0..w1 {
-        let t = grid.wg_tile(wg);
-        let (region_addr, _) = grid.wg_output_region(wg);
-        for wf in 0..wfs {
-            let (r0, r1) = crate::fused::wf_rows(t.height as usize, wfs, wf);
-            let elems = ((r1 - r0) as u64) * t.width;
-            if elems == 0 {
-                continue;
-            }
-            let addr = region_addr + (r0 as u64) * t.width * elem_bytes;
-            if tracker
-                .record_update(WfId { wg, wf }, addr, elems, elems, updates)
-                .is_some()
-            {
-                chunks[pos].triggered_wfs += 1;
-            }
-        }
     }
-}
 
-/// Appends all WF regions of `position`'s chunk to the attribution
-/// FIFO, in WG/WF order. Attribution advances only as the memory
-/// controller actually services announced bytes, so building the full
-/// feed up front is safe.
-fn build_feed(
-    grid: &GemmGrid,
-    chunks: &[ChunkState],
-    feed: &mut VecDeque<FeedEntry>,
-    position: usize,
-    elem_bytes: u64,
-) {
-    let wfs = grid.wfs_per_wg();
-    let (w0, w1) = chunks[position].wg_bounds;
-    for wg in w0..w1 {
-        let t = grid.wg_tile(wg);
-        let (region_addr, _) = grid.wg_output_region(wg);
-        for wf in 0..wfs {
-            let (r0, r1) = crate::fused::wf_rows(t.height as usize, wfs, wf);
-            let region_bytes = ((r1 - r0) as u64) * t.width * elem_bytes;
-            if region_bytes == 0 {
-                continue;
-            }
-            feed.push_back(FeedEntry {
-                position,
-                wf: WfId { wg, wf },
-                addr: region_addr + (r0 as u64) * t.width * elem_bytes,
-                region_bytes,
-                consumed_bytes: 0,
-            });
-        }
+    fn skip_idle(&mut self, from: Cycle, to: Cycle) {
+        self.mc.skip_idle(from, to, None);
+    }
+
+    fn is_done(&self, now: Cycle) -> bool {
+        self.gemm_done
+            && self.triggered_wfs == self.expected_wfs
+            && self.pending.is_empty()
+            && self.links.iter().all(|l| l.is_idle(now))
+            && self.mc.is_idle()
     }
 }
 
@@ -1340,6 +1235,43 @@ mod tests {
         let want = chunk * (s.num_gpus as u64 - 1);
         assert!(incoming + 65536 > want && incoming < want + 65536);
         assert_eq!(fused.stats.bytes(TrafficClass::RsRead), 0);
+    }
+
+    #[test]
+    fn direct_engines_fast_forward_is_byte_identical_to_stepped() {
+        for n in [4, 8, 16] {
+            let s = sys().with_num_gpus(n);
+            for shape in [
+                GemmShape::new(512, 1024, 256),
+                GemmShape::new(1024, 768, 512),
+                GemmShape::new(768, 1536, 128),
+            ] {
+                let grid = GemmGrid::new(&s.gpu, shape);
+                for policy in [PolicyChoice::RoundRobin, PolicyChoice::McaDynamic] {
+                    let opts = |mode| FusedOptions {
+                        policy,
+                        mode,
+                        timeseries_bucket: Some(2048),
+                        ..FusedOptions::default()
+                    };
+                    let (stepped, fast) = (opts(SimMode::Stepped), opts(SimMode::FastForward));
+                    let case = format!("N={n} {shape:?} {policy:?}");
+                    assert_eq!(
+                        format!("{:?}", run_fused_gemm_direct_rs(&s, grid.clone(), &stepped)),
+                        format!("{:?}", run_fused_gemm_direct_rs(&s, grid.clone(), &fast)),
+                        "direct RS diverged: {case}"
+                    );
+                    assert_eq!(
+                        format!(
+                            "{:?}",
+                            run_fused_gemm_all_to_all(&s, grid.clone(), &stepped)
+                        ),
+                        format!("{:?}", run_fused_gemm_all_to_all(&s, grid.clone(), &fast)),
+                        "all-to-all diverged: {case}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //! * [`fused_gemm_all_to_all`] — the expert-parallel exchange.
 
 use crate::addrmap::{ChunkRoute, OutputConfig};
-use crate::tracker::{Tracker, TrackerConfig, WfId};
+use crate::engine::{position_of_wg, record_local, wf_regions};
+use crate::tracker::{Tracker, TrackerConfig};
 use t3_collectives::gemm::{matmul_tile, matmul_tile_krange};
 use t3_gpu::gemm::{GemmGrid, GemmShape};
 use t3_mem::nmc::NmcBuffer;
@@ -209,7 +210,6 @@ pub fn fused_gemm_ring_ag(
     }
     let grid = GemmGrid::new(gpu, shape);
     let elem_bytes = shape.elem_bytes;
-    let wfs = grid.wfs_per_wg();
 
     // Tile-ordered element offsets and chunk ranges, as in `run_fused`.
     let mut wg_elem_start = Vec::with_capacity(grid.num_wgs() as usize + 1);
@@ -239,25 +239,8 @@ pub fn fused_gemm_ring_ag(
     // semantics complete each WF region in one pass.
     let track_chunk =
         |trackers: &mut Vec<Tracker>, triggers: &mut u64, device: usize, chunk: usize| {
-            let (w0, w1) = chunk_wg_bounds[chunk];
-            for wg in w0..w1 {
-                let t = grid.wg_tile(wg);
-                let region = wg_elem_start[wg as usize] as u64 * elem_bytes;
-                for wf in 0..wfs {
-                    let (r0, r1) = wf_rows(t.height as usize, wfs, wf);
-                    let elems = ((r1 - r0) as u64) * t.width;
-                    if elems == 0 {
-                        continue;
-                    }
-                    let addr = region + (r0 as u64) * t.width * elem_bytes;
-                    if trackers[device]
-                        .record_update(WfId { wg, wf }, addr, elems, elems, 1)
-                        .is_some()
-                    {
-                        *triggers += 1;
-                    }
-                }
-            }
+            let bounds = chunk_wg_bounds[chunk];
+            *triggers += record_local(&grid, &mut trackers[device], bounds, 1) as u64;
         };
 
     // Step 0: every device computes its own shard and stores it.
@@ -370,30 +353,10 @@ fn run_fused(
         .iter()
         .map(|&(w0, w1)| (wg_elem_start[w0 as usize], wg_elem_start[w1 as usize]))
         .collect();
-    let chunk_of_wg = |wg: u64| -> usize {
-        chunk_wg_bounds
-            .iter()
-            .position(|&(w0, w1)| wg >= w0 && wg < w1)
-            .expect("wg outside all chunks")
-    };
-
     // Expected non-empty WFs per chunk (same for all devices).
-    let wfs = grid.wfs_per_wg();
     let expected_wfs_per_chunk: Vec<usize> = chunk_wg_bounds
         .iter()
-        .map(|&(w0, w1)| {
-            (w0..w1)
-                .map(|wg| {
-                    let h = grid.wg_tile(wg).height as usize;
-                    (0..wfs)
-                        .filter(|&wf| {
-                            let (r0, r1) = wf_rows(h, wfs, wf);
-                            r1 > r0
-                        })
-                        .count()
-                })
-                .sum()
-        })
+        .map(|&b| wf_regions(&grid, b).count())
         .collect();
 
     let mut outputs: Vec<NmcBuffer> = (0..n_dev).map(|_| NmcBuffer::new(total_elems)).collect();
@@ -410,35 +373,18 @@ fn run_fused(
 
     let mut dma_transfers = 0u64;
 
-    // Records updates for the WFs of `wg` at `device`, with the
-    // tile already laid out at `region_start`.
-    let record_wg = |devices: &mut Vec<DeviceState>,
-                     configs: &[OutputConfig],
-                     device: usize,
-                     wg: u64,
-                     height: usize,
-                     width: usize,
-                     region_start: usize| {
-        let chunk = chunk_of_wg(wg);
-        let pos = configs[device].position_of_chunk(chunk);
-        if !configs[device].route(pos).tracked() {
-            return;
-        }
-        let updates = configs[device].route(pos).updates_per_element();
-        let state = &mut devices[device];
-        for wf in 0..wfs {
-            let (r0, r1) = wf_rows(height, wfs, wf);
-            let elems = ((r1 - r0) * width) as u64;
-            let addr = (region_start + r0 * width) as u64 * elem_bytes;
-            if let Some(_trigger) =
-                state
-                    .tracker
-                    .record_update(WfId { wg, wf }, addr, elems, elems, updates)
-            {
-                state.triggered_wfs[pos] += 1;
+    // Records updates for the WFs of `wg` at `device`.
+    let record_wg =
+        |devices: &mut Vec<DeviceState>, configs: &[OutputConfig], device: usize, wg: u64| {
+            let pos = configs[device].position_of_chunk(position_of_wg(&chunk_wg_bounds, wg));
+            if !configs[device].route(pos).tracked() {
+                return;
             }
-        }
-    };
+            let updates = configs[device].route(pos).updates_per_element();
+            let state = &mut devices[device];
+            state.triggered_wfs[pos] +=
+                record_local(&grid, &mut state.tracker, (wg, wg + 1), updates);
+        };
 
     for p in 0..num_chunks {
         // Phase 1: every device computes its position-p chunk and
@@ -488,18 +434,18 @@ fn run_fused(
                     match route {
                         ChunkRoute::LocalOnly { .. } | ChunkRoute::LocalThenDmaUpdate { .. } => {
                             outputs[d].update_slice(region_start, &tile);
-                            record_wg(&mut devices, configs, d, wg, h, w, region_start);
+                            record_wg(&mut devices, configs, d, wg);
                         }
                         ChunkRoute::LocalThenDmaStore { .. } => {
                             assert_eq!(split_k, 1, "store routes cannot be split-K");
                             outputs[d].store_slice(region_start, &tile);
-                            record_wg(&mut devices, configs, d, wg, h, w, region_start);
+                            record_wg(&mut devices, configs, d, wg);
                         }
                         ChunkRoute::RemoteUpdate { device } => {
                             // Fine-grained peer-to-peer updates; tracked
                             // at the destination.
                             outputs[device].update_slice(region_start, &tile);
-                            record_wg(&mut devices, configs, device, wg, h, w, region_start);
+                            record_wg(&mut devices, configs, device, wg);
                         }
                         ChunkRoute::RemoteStore { device } => {
                             assert_eq!(split_k, 1, "store routes cannot be split-K");
@@ -550,16 +496,7 @@ fn run_fused(
             // tracker counts the incoming updates (Section 4.2.2).
             let (w0, w1) = chunk_wg_bounds[chunk];
             for wg in w0..w1 {
-                let t = grid.wg_tile(wg);
-                record_wg(
-                    &mut devices,
-                    configs,
-                    dest,
-                    wg,
-                    t.height as usize,
-                    t.width as usize,
-                    wg_elem_start[wg as usize],
-                );
+                record_wg(&mut devices, configs, dest, wg);
             }
         }
     }

@@ -31,7 +31,8 @@
 //!
 //! # Engines
 //!
-//! Three byte-identical ways to advance time:
+//! Three byte-identical ways to advance time, all through
+//! [`t3_sim::drive`]:
 //!
 //! * **Stepped** ([`t3_sim::SimMode::Stepped`]): the reference loop —
 //!   every device steps every cycle.
@@ -53,8 +54,8 @@ use std::panic::resume_unwind;
 use std::thread;
 
 use crate::addrmap::{ChunkRoute, OutputConfig};
-use crate::engine::{min_event, FusedOptions, FusedRunResult};
-use crate::tracker::{Tracker, TrackerConfig, WfId};
+use crate::engine::{record_local, wf_regions, Feed, FusedOptions, FusedRunResult};
+use crate::tracker::{Tracker, TrackerConfig};
 use t3_gpu::engine::{GemmEngine, GemmEvent};
 use t3_gpu::gemm::GemmGrid;
 use t3_mem::controller::{MemoryController, StreamId};
@@ -62,7 +63,7 @@ use t3_mem::llc::Llc;
 use t3_net::ring::Ring;
 use t3_sim::config::SystemConfig;
 use t3_sim::stats::{TrafficClass, TrafficStats};
-use t3_sim::{Bytes, Cycle, SimMode};
+use t3_sim::{drive, min_event, Bytes, Clocked, Cycle, CONVERGENCE_GUARD};
 use t3_topo::{Arrival, Fabric, Schedule, Topology};
 use t3_trace::{reborrow, Event, Instruments};
 
@@ -100,16 +101,6 @@ impl MultiGpuResult {
     }
 }
 
-/// One wavefront region awaiting incoming-update attribution.
-#[derive(Debug, Clone, Copy)]
-struct FeedEntry {
-    position: usize,
-    wf: WfId,
-    addr: u64,
-    region_bytes: Bytes,
-    consumed_bytes: Bytes,
-}
-
 /// Per-position bookkeeping.
 #[derive(Debug)]
 struct ChunkState {
@@ -139,8 +130,7 @@ struct Gpu {
     gemm: GemmEngine,
     tracker: Tracker,
     chunks: Vec<ChunkState>,
-    feed: VecDeque<FeedEntry>,
-    rs_update_seen: Bytes,
+    feed: Feed,
     /// Pending DMA source reads: (position, serviced-read target).
     dma_reading: Option<(usize, Bytes)>,
     dma_queue: VecDeque<usize>,
@@ -148,23 +138,6 @@ struct Gpu {
     gemm_done: bool,
     finished_at: Option<Cycle>,
     dma_transfers: u64,
-}
-
-/// Message payload on the fabric: which global chunk and how many
-/// bytes.
-#[derive(Debug, Clone, Copy)]
-struct Incoming {
-    global_chunk: usize,
-    bytes: Bytes,
-}
-
-impl From<Arrival> for Incoming {
-    fn from(a: Arrival) -> Self {
-        Incoming {
-            global_chunk: a.tag as usize,
-            bytes: a.bytes,
-        }
-    }
 }
 
 /// A fabric send a sharded worker buffered during its window, replayed
@@ -188,52 +161,28 @@ enum SendSink<'a> {
 }
 
 impl SendSink<'_> {
-    /// A fine-grained remote-update stream send.
-    fn send_update(
-        &mut self,
-        now: Cycle,
-        src: usize,
-        dst: usize,
-        tag: u64,
-        bytes: Bytes,
-        ins: Option<&mut Instruments>,
-    ) {
+    /// Sends one fabric message: a piece of a fine-grained
+    /// remote-update stream, or (`dma`) a Tracker-fired chunk whose
+    /// wire span is recorded as an [`Event::ChunkSend`] when
+    /// instrumented.
+    fn send(&mut self, msg: SendIntent, dma: bool, mut ins: Option<&mut Instruments>) {
+        let SendIntent {
+            cycle: now,
+            src,
+            dst,
+            tag,
+            bytes,
+        } = msg;
         match self {
             SendSink::Fabric(fabric) => {
-                fabric.send_traced(now, src, dst, tag, bytes, ins);
-            }
-            SendSink::Buffer(intents) => {
-                debug_assert!(ins.is_none(), "sharded windows are uninstrumented");
-                intents.push(SendIntent {
-                    cycle: now,
-                    src,
-                    dst,
-                    tag,
-                    bytes,
+                let span = (dma && ins.is_some()).then(|| {
+                    let out_port = fabric.topo().route(src, dst)[0];
+                    (out_port, fabric.link(out_port).busy_until().max(now))
                 });
-            }
-        }
-    }
-
-    /// A Tracker-fired DMA chunk send; records the chunk's wire span
-    /// as a [`Event::ChunkSend`] when instrumented.
-    fn send_dma(
-        &mut self,
-        now: Cycle,
-        src: usize,
-        dst: usize,
-        tag: u64,
-        bytes: Bytes,
-        mut ins: Option<&mut Instruments>,
-    ) {
-        match self {
-            SendSink::Fabric(fabric) => {
-                let out_port = fabric.topo().route(src, dst)[0];
-                let hops = fabric.topo().route(src, dst).len() as u64;
-                let start = fabric.link(out_port).busy_until().max(now);
                 fabric.send_traced(now, src, dst, tag, bytes, reborrow(&mut ins));
-                if let Some(ins) = ins {
+                if let (Some((out_port, start)), Some(ins)) = (span, ins) {
                     let end = fabric.link(out_port).busy_until();
+                    let hops = fabric.topo().route(src, dst).len() as u64;
                     ins.record(
                         end,
                         Event::ChunkSend {
@@ -249,13 +198,7 @@ impl SendSink<'_> {
             }
             SendSink::Buffer(intents) => {
                 debug_assert!(ins.is_none(), "sharded windows are uninstrumented");
-                intents.push(SendIntent {
-                    cycle: now,
-                    src,
-                    dst,
-                    tag,
-                    bytes,
-                });
+                intents.push(msg);
             }
         }
     }
@@ -265,9 +208,7 @@ impl SendSink<'_> {
 struct StepCtx<'a> {
     grid: &'a GemmGrid,
     global_bounds: &'a [(u64, u64)],
-    elem_bytes: u64,
     update_cost: f64,
-    mode: SimMode,
 }
 
 /// Runs the fused GEMM-RS with every GPU simulated explicitly, on the
@@ -377,7 +318,7 @@ fn build_run(
                     incoming_passes,
                     triggered_wfs: 0,
                     expected_wfs: if route.tracked() {
-                        count_nonempty_wfs(grid, g0, g1)
+                        wf_regions(grid, (g0, g1)).count()
                     } else {
                         0
                     },
@@ -387,13 +328,12 @@ fn build_run(
                 cursor += size;
             }
             Gpu {
-                mc: MemoryController::new(&sys.mem, build_policy(opts, sys)),
+                mc: MemoryController::new(&sys.mem, opts.policy.build(sys)),
                 llc: Llc::new(&sys.mem),
                 gemm: GemmEngine::new(&sys.gpu, grid.clone()),
                 tracker: Tracker::new(TrackerConfig::paper(grid.wf_tile_elems())),
                 chunks,
-                feed: VecDeque::new(),
-                rs_update_seen: 0,
+                feed: Feed::default(),
                 dma_reading: None,
                 dma_queue: VecDeque::new(),
                 first_stage_done: false,
@@ -406,43 +346,46 @@ fn build_run(
     (gpus, fabric, global_bounds)
 }
 
-/// Feeds one device's fabric arrivals for this cycle into its memory
-/// controller (phase A of the stepped loop). `ins` must be `Some`
-/// only for the instrumented device.
-fn deliver_incoming(
+/// One device's full per-cycle step: this cycle's fabric arrivals
+/// into the comm stream, memory controller, incoming update
+/// attribution, GEMM progress, DMA engine, trigger fires and
+/// completion bookkeeping. Outgoing traffic goes through `sink` so
+/// the sharded engine can defer it to its window barrier. `ins` must
+/// be `Some` only for the instrumented device.
+fn step_device(
     gpu: &mut Gpu,
+    d: usize,
     now: Cycle,
-    incoming: &[Incoming],
+    incoming: &[Arrival],
     ctx: &StepCtx,
+    sink: &mut SendSink,
     mut ins: Option<&mut Instruments>,
 ) {
-    for &inc in incoming {
+    for inc in incoming {
         if let Some(ins) = reborrow(&mut ins) {
             ins.record(
                 now,
                 Event::ChunkRecv {
-                    chunk: inc.global_chunk as u64,
+                    chunk: inc.tag,
                     bytes: inc.bytes,
                 },
             );
             ins.add("chunks.received", 1);
         }
+        let global_chunk = inc.tag as usize;
         let pos = gpu
             .chunks
             .iter()
-            .position(|c| c.global_chunk == inc.global_chunk)
+            .position(|c| c.global_chunk == global_chunk)
             .expect("chunk routed to wrong GPU");
-        if !gpu.chunks[pos].feed_built {
-            for _ in 0..gpu.chunks[pos].incoming_passes {
-                build_feed(
-                    ctx.grid,
-                    ctx.global_bounds[inc.global_chunk],
-                    pos,
-                    &mut gpu.feed,
-                    ctx.elem_bytes,
-                );
+        let chunk = &mut gpu.chunks[pos];
+        if !chunk.feed_built {
+            let updates = chunk.route.updates_per_element();
+            for _ in 0..chunk.incoming_passes {
+                let bounds = ctx.global_bounds[global_chunk];
+                gpu.feed.push_chunk(ctx.grid, bounds, pos, updates);
             }
-            gpu.chunks[pos].feed_built = true;
+            chunk.feed_built = true;
         }
         gpu.mc.enqueue(
             StreamId::Comm,
@@ -451,48 +394,21 @@ fn deliver_incoming(
             ctx.update_cost,
         );
     }
-}
-
-/// One device's full per-cycle step: memory controller, incoming
-/// update attribution, GEMM progress, DMA engine, trigger fires and
-/// completion bookkeeping. Outgoing traffic goes through `sink` so
-/// the sharded engine can defer it to its window barrier. `ins` must
-/// be `Some` only for the instrumented device.
-fn step_device(
-    gpu: &mut Gpu,
-    d: usize,
-    now: Cycle,
-    ctx: &StepCtx,
-    sink: &mut SendSink,
-    mut ins: Option<&mut Instruments>,
-) {
     gpu.mc.step_traced(now, None, reborrow(&mut ins));
+    let msg = |dst, tag, bytes| SendIntent {
+        cycle: now,
+        src: d,
+        dst,
+        tag,
+        bytes,
+    };
 
     // Attribute serviced incoming updates.
     let serviced = gpu.mc.stats().bytes(TrafficClass::RsUpdate);
-    if serviced > gpu.rs_update_seen {
-        let mut delta = serviced - gpu.rs_update_seen;
-        gpu.rs_update_seen = serviced;
-        while delta > 0 {
-            let entry = gpu.feed.front_mut().expect("serviced more than announced");
-            let take = delta.min(entry.region_bytes - entry.consumed_bytes);
-            entry.consumed_bytes += take;
-            delta -= take;
-            if entry.consumed_bytes == entry.region_bytes {
-                let e = *entry;
-                gpu.feed.pop_front();
-                let region_elems = e.region_bytes / ctx.elem_bytes;
-                let updates = gpu.chunks[e.position].route.updates_per_element();
-                if gpu
-                    .tracker
-                    .record_update(e.wf, e.addr, region_elems, region_elems, updates)
-                    .is_some()
-                {
-                    gpu.chunks[e.position].triggered_wfs += 1;
-                }
-            }
-        }
-    }
+    let chunks = &mut gpu.chunks;
+    gpu.feed.attribute(serviced, &mut gpu.tracker, |e| {
+        chunks[e.position].triggered_wfs += 1;
+    });
 
     // GEMM progress.
     match gpu.gemm.step(now, &mut gpu.mc, &mut gpu.llc) {
@@ -547,14 +463,8 @@ fn step_device(
                         let dest = gpu.chunks[pos]
                             .dest
                             .expect("remote chunk has a destination");
-                        sink.send_update(
-                            now,
-                            d,
-                            dest,
-                            gpu.chunks[pos].global_chunk as u64,
-                            bytes,
-                            reborrow(&mut ins),
-                        );
+                        let tag = gpu.chunks[pos].global_chunk as u64;
+                        sink.send(msg(dest, tag, bytes), false, reborrow(&mut ins));
                     }
                     ChunkRoute::LocalOnly { .. } | ChunkRoute::LocalThenDmaUpdate { .. } => {
                         gpu.mc.enqueue(
@@ -563,14 +473,10 @@ fn step_device(
                             bytes,
                             ctx.update_cost,
                         );
-                        record_local(
-                            ctx.grid,
-                            gpu,
-                            pos,
-                            g0 + (wg - local0),
-                            g0 + (upper - local0),
-                            ctx.elem_bytes,
-                        );
+                        let global = (g0 + (wg - local0), g0 + (upper - local0));
+                        let updates = gpu.chunks[pos].route.updates_per_element();
+                        gpu.chunks[pos].triggered_wfs +=
+                            record_local(ctx.grid, &mut gpu.tracker, global, updates);
                     }
                     _ => unreachable!("fused RS uses no other routes"),
                 }
@@ -585,7 +491,7 @@ fn step_device(
             let chunk = gpu.chunks[pos].global_chunk as u64;
             let payload = gpu.chunks[pos].bytes;
             let dest = gpu.chunks[pos].dest.expect("DMA chunk has a destination");
-            sink.send_dma(now, d, dest, chunk, payload, reborrow(&mut ins));
+            sink.send(msg(dest, chunk, payload), true, reborrow(&mut ins));
             gpu.dma_transfers += 1;
             gpu.dma_reading = None;
         }
@@ -651,7 +557,9 @@ fn device_next_event(gpu: &Gpu, now: Cycle) -> Option<Cycle> {
     if gpu.dma_reading.is_some() || !gpu.dma_queue.is_empty() {
         return Some(now + 1);
     }
-    min_event(gpu.mc.next_event(now), gpu.gemm.next_event(now, &gpu.mc))
+    gpu.mc
+        .next_event(now)
+        .or_else(|| gpu.gemm.next_event(now, &gpu.mc))
 }
 
 /// Assembles the run result once every device has finished.
@@ -692,63 +600,27 @@ pub fn run_multi_gpu_fused_rs_on(
     grid: GemmGrid,
     opts: &FusedOptions,
     topo: &Topology,
-    mut ins: Option<&mut Instruments>,
+    ins: Option<&mut Instruments>,
 ) -> MultiGpuResult {
-    let (mut gpus, mut fabric, global_bounds) = build_run(sys, &grid, opts, topo);
-    let ctx = StepCtx {
-        grid: &grid,
-        global_bounds: &global_bounds,
-        elem_bytes: grid.shape().elem_bytes,
-        update_cost: opts.substrate.update_cost_multiplier(&sys.mem),
-        mode: opts.mode,
+    let (gpus, fabric, global_bounds) = build_run(sys, &grid, opts, topo);
+    let mut cluster = Cluster {
+        gpus,
+        fabric,
+        ctx: StepCtx {
+            grid: &grid,
+            global_bounds: &global_bounds,
+            update_cost: opts.substrate.update_cost_multiplier(&sys.mem),
+        },
+        ins,
     };
+    drive(&mut cluster, opts.mode, 0, None);
 
-    let mut now: Cycle = 0;
-    loop {
-        for (d, gpu) in gpus.iter_mut().enumerate() {
-            let mut dev_ins = if d == 0 { reborrow(&mut ins) } else { None };
-            let incoming: Vec<Incoming> = fabric
-                .deliveries_until(d, now)
-                .into_iter()
-                .map(Incoming::from)
-                .collect();
-            deliver_incoming(gpu, now, &incoming, &ctx, reborrow(&mut dev_ins));
-            step_device(
-                gpu,
-                d,
-                now,
-                &ctx,
-                &mut SendSink::Fabric(&mut fabric),
-                dev_ins,
-            );
-        }
-
-        let all_done = gpus.iter().all(|g| g.finished_at.is_some()) && fabric.busy_until() <= now;
-        if all_done {
-            break;
-        }
-        // Fast-forward leap: with every memory controller drained the
-        // only future events are GEMM phase boundaries and fabric
-        // arrivals; jump straight to the earliest one, replaying the
-        // skipped idle cycles on each controller.
-        now = if ctx.mode == SimMode::FastForward && gpus.iter().all(|g| g.mc.is_idle()) {
-            let device_events = gpus.iter().filter_map(|g| device_next_event(g, now)).min();
-            match min_event(device_events, fabric.next_event(now)) {
-                Some(t) if t > now + 1 => {
-                    for (d, gpu) in gpus.iter_mut().enumerate() {
-                        let skip_ins = if d == 0 { reborrow(&mut ins) } else { None };
-                        gpu.mc.skip_idle(now + 1, t, skip_ins);
-                    }
-                    t
-                }
-                _ => now + 1,
-            }
-        } else {
-            now + 1
-        };
-        assert!(now < 4_000_000_000, "multi-GPU run failed to converge");
-    }
-
+    let Cluster {
+        gpus,
+        fabric,
+        mut ins,
+        ..
+    } = cluster;
     let result = finish_result(&gpus, &fabric);
     if let Some(ins) = reborrow(&mut ins) {
         let gpu0 = &gpus[0];
@@ -772,40 +644,93 @@ pub fn run_multi_gpu_fused_rs_on(
     result
 }
 
-/// Simulates one device across the window `[t0, t_end)`, consuming its
-/// pre-popped fabric arrivals and buffering outgoing sends into
-/// `intents`. Fast-forward mode leaps idle gaps inside the window
-/// exactly as the sequential engine does, clamped to the window end.
-fn simulate_device_window(
-    gpu: &mut Gpu,
-    d: usize,
-    t0: Cycle,
-    t_end: Cycle,
-    pend: &mut VecDeque<Arrival>,
-    ctx: &StepCtx,
-    intents: &mut Vec<SendIntent>,
-) {
-    let mut now = t0;
-    while now < t_end {
-        let mut incoming = Vec::new();
-        while pend.front().is_some_and(|a| a.arrival <= now) {
-            let a = pend.pop_front().expect("peeked entry exists");
-            incoming.push(Incoming::from(a));
-        }
-        deliver_incoming(gpu, now, &incoming, ctx, None);
-        step_device(gpu, d, now, ctx, &mut SendSink::Buffer(intents), None);
+/// Every GPU plus the shared fabric, stepped in lockstep by the
+/// sequential engine. Only device 0 is instrumented.
+struct Cluster<'a> {
+    gpus: Vec<Gpu>,
+    fabric: Fabric,
+    ctx: StepCtx<'a>,
+    ins: Option<&'a mut Instruments>,
+}
 
-        let mut next = now + 1;
-        if ctx.mode == SimMode::FastForward && gpu.mc.is_idle() {
-            let pend_at = pend.front().map(|a| a.arrival.max(now + 1));
-            let target =
-                min_event(device_next_event(gpu, now), pend_at).map_or(t_end, |t| t.min(t_end));
-            if target > next {
-                gpu.mc.skip_idle(next, target, None);
-                next = target;
+impl Clocked for Cluster<'_> {
+    fn step(&mut self, now: Cycle) {
+        for (d, gpu) in self.gpus.iter_mut().enumerate() {
+            let ins = if d == 0 {
+                reborrow(&mut self.ins)
+            } else {
+                None
+            };
+            let incoming = self.fabric.deliveries_until(d, now);
+            let mut sink = SendSink::Fabric(&mut self.fabric);
+            step_device(gpu, d, now, &incoming, &self.ctx, &mut sink, ins);
+        }
+    }
+
+    /// With every memory controller drained the only future events are
+    /// GEMM phase boundaries and fabric arrivals. The scan stops at the
+    /// first device that pins the next cycle (a busy one, usually).
+    fn next_event(&self, now: Cycle) -> Option<Cycle> {
+        let mut next = None;
+        for gpu in &self.gpus {
+            next = min_event(next, device_next_event(gpu, now));
+            if next == Some(now + 1) {
+                return next;
             }
         }
-        now = next;
+        min_event(next, self.fabric.next_event(now))
+    }
+
+    fn skip_idle(&mut self, from: Cycle, to: Cycle) {
+        for (d, gpu) in self.gpus.iter_mut().enumerate() {
+            let ins = if d == 0 {
+                reborrow(&mut self.ins)
+            } else {
+                None
+            };
+            gpu.mc.skip_idle(from, to, ins);
+        }
+    }
+
+    fn is_done(&self, now: Cycle) -> bool {
+        self.gpus.iter().all(|g| g.finished_at.is_some()) && self.fabric.busy_until() <= now
+    }
+}
+
+/// One device of the sharded engine inside one barrier window: it
+/// consumes its pre-popped fabric arrivals and buffers its outgoing
+/// sends into `intents`. Driven with the window end as horizon, so
+/// fast-forward leaps idle gaps exactly as the sequential engine does,
+/// clamped to the window.
+struct DeviceWindow<'a, 'c> {
+    gpu: &'a mut Gpu,
+    d: usize,
+    pend: &'a mut VecDeque<Arrival>,
+    ctx: &'a StepCtx<'c>,
+    intents: &'a mut Vec<SendIntent>,
+}
+
+impl Clocked for DeviceWindow<'_, '_> {
+    fn step(&mut self, now: Cycle) {
+        let due = self.pend.iter().take_while(|a| a.arrival <= now).count();
+        let incoming: Vec<Arrival> = self.pend.drain(..due).collect();
+        let mut sink = SendSink::Buffer(self.intents);
+        step_device(self.gpu, self.d, now, &incoming, self.ctx, &mut sink, None);
+    }
+
+    fn next_event(&self, now: Cycle) -> Option<Cycle> {
+        let pend_at = self.pend.front().map(|a| a.arrival.max(now + 1));
+        min_event(device_next_event(self.gpu, now), pend_at)
+    }
+
+    fn skip_idle(&mut self, from: Cycle, to: Cycle) {
+        self.gpu.mc.skip_idle(from, to, None);
+    }
+
+    /// A window always runs to its end; completion is decided at the
+    /// barrier.
+    fn is_done(&self, _now: Cycle) -> bool {
+        false
     }
 }
 
@@ -846,10 +771,9 @@ pub fn run_multi_gpu_fused_rs_sharded(
     let ctx = StepCtx {
         grid: &grid,
         global_bounds: &global_bounds,
-        elem_bytes: grid.shape().elem_bytes,
         update_cost: opts.substrate.update_cost_multiplier(&sys.mem),
-        mode: opts.mode,
     };
+    let mode = opts.mode;
     let window: Cycle = 1 + topo
         .links()
         .iter()
@@ -879,15 +803,14 @@ pub fn run_multi_gpu_fused_rs_sharded(
                         for (i, (gpu, pend)) in
                             gpu_shard.iter_mut().zip(pend_shard.iter_mut()).enumerate()
                         {
-                            simulate_device_window(
+                            let mut window = DeviceWindow {
                                 gpu,
-                                w * per + i,
-                                t0,
-                                t_end,
+                                d: w * per + i,
                                 pend,
                                 ctx,
-                                &mut intents,
-                            );
+                                intents: &mut intents,
+                            };
+                            drive(&mut window, mode, t0, Some(t_end));
                         }
                         intents
                     })
@@ -919,91 +842,10 @@ pub fn run_multi_gpu_fused_rs_sharded(
         if gpus.iter().all(|g| g.finished_at.is_some()) && fabric.is_idle(t0 - 1) {
             break;
         }
-        assert!(t0 < 4_000_000_000, "multi-GPU run failed to converge");
+        assert!(t0 < CONVERGENCE_GUARD, "multi-GPU run failed to converge");
     }
 
     finish_result(&gpus, &fabric)
-}
-
-fn build_policy(
-    opts: &FusedOptions,
-    sys: &SystemConfig,
-) -> Box<dyn t3_mem::arbiter::ArbitrationPolicy> {
-    use crate::engine::PolicyChoice;
-    use t3_mem::arbiter::{ComputeFirstPolicy, McaPolicy, RoundRobinPolicy};
-    match opts.policy {
-        PolicyChoice::RoundRobin => Box::new(RoundRobinPolicy::new()),
-        PolicyChoice::ComputeFirst => Box::new(ComputeFirstPolicy::new()),
-        PolicyChoice::McaDynamic => Box::new(McaPolicy::new(&sys.mem)),
-        PolicyChoice::McaFixed(t) => Box::new(McaPolicy::with_fixed_threshold(t)),
-    }
-}
-
-fn count_nonempty_wfs(grid: &GemmGrid, w0: u64, w1: u64) -> usize {
-    let wfs = grid.wfs_per_wg();
-    (w0..w1)
-        .map(|wg| {
-            let h = grid.wg_tile(wg).height as usize;
-            (0..wfs)
-                .filter(|&wf| {
-                    let (r0, r1) = crate::fused::wf_rows(h, wfs, wf);
-                    r1 > r0
-                })
-                .count()
-        })
-        .sum()
-}
-
-fn build_feed(
-    grid: &GemmGrid,
-    global_bounds: (u64, u64),
-    position: usize,
-    feed: &mut VecDeque<FeedEntry>,
-    elem_bytes: u64,
-) {
-    let wfs = grid.wfs_per_wg();
-    for wg in global_bounds.0..global_bounds.1 {
-        let t = grid.wg_tile(wg);
-        let (region_addr, _) = grid.wg_output_region(wg);
-        for wf in 0..wfs {
-            let (r0, r1) = crate::fused::wf_rows(t.height as usize, wfs, wf);
-            let region_bytes = ((r1 - r0) as u64) * t.width * elem_bytes;
-            if region_bytes == 0 {
-                continue;
-            }
-            feed.push_back(FeedEntry {
-                position,
-                wf: WfId { wg, wf },
-                addr: region_addr + (r0 as u64) * t.width * elem_bytes,
-                region_bytes,
-                consumed_bytes: 0,
-            });
-        }
-    }
-}
-
-fn record_local(grid: &GemmGrid, gpu: &mut Gpu, pos: usize, w0: u64, w1: u64, elem_bytes: u64) {
-    let wfs = grid.wfs_per_wg();
-    let updates = gpu.chunks[pos].route.updates_per_element();
-    for wg in w0..w1 {
-        let t = grid.wg_tile(wg);
-        let (region_addr, _) = grid.wg_output_region(wg);
-        for wf in 0..wfs {
-            let (r0, r1) = crate::fused::wf_rows(t.height as usize, wfs, wf);
-            let elems = ((r1 - r0) as u64) * t.width;
-            if elems == 0 {
-                continue;
-            }
-            let addr = region_addr + (r0 as u64) * t.width * elem_bytes;
-            if gpu
-                .tracker
-                .record_update(WfId { wg, wf }, addr, elems, elems, updates)
-                .is_some()
-            {
-                gpu.chunks[pos].triggered_wfs += 1;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1011,6 +853,7 @@ mod tests {
     use super::*;
     use crate::engine::run_fused_gemm_rs;
     use t3_gpu::gemm::GemmShape;
+    use t3_sim::SimMode;
 
     fn sys() -> SystemConfig {
         SystemConfig::paper_default()

@@ -24,11 +24,15 @@
 //!   policy reduces that contention too.
 
 use crate::configs::Configuration;
+use crate::engine::PolicyChoice;
 use t3_gpu::collective::{reference_ring_rs_cycles, CollectiveKind, RingCollective};
-use t3_gpu::engine::{run_gemm_isolated, WritePolicy};
+use t3_gpu::engine::{route_stage_stores, run_gemm_isolated, GemmEngine, GemmEvent, WritePolicy};
 use t3_gpu::gemm::{GemmGrid, GemmShape};
+use t3_mem::controller::{MemoryController, StreamId};
+use t3_mem::llc::Llc;
 use t3_sim::config::SystemConfig;
-use t3_sim::{Bytes, Cycle};
+use t3_sim::stats::TrafficClass;
+use t3_sim::{drive, Bytes, Clocked, Cycle, SimMode};
 
 /// One row of the Figure 6 CU-split study.
 #[derive(Debug, Clone, PartialEq)]
@@ -168,66 +172,27 @@ pub fn coarse_overlap_study(
     sys: &SystemConfig,
     shape: &GemmShape,
     comm_bytes: Bytes,
-    policy: crate::engine::PolicyChoice,
+    policy: PolicyChoice,
 ) -> CoarseOverlapRow {
-    use t3_gpu::engine::{route_stage_stores, GemmEngine, GemmEvent, WritePolicy};
-    use t3_mem::controller::{MemoryController, StreamId};
-    use t3_mem::llc::Llc;
-    use t3_sim::stats::TrafficClass;
-
     let grid = GemmGrid::new(&sys.gpu, *shape);
     let isolated = run_gemm_isolated(sys, grid.clone(), WritePolicy::CachedLocal);
 
     // Contended run: the communication stream receives its traffic in
     // chunk-sized bursts spread over the expected GEMM duration.
-    let mut mc = MemoryController::new(&sys.mem, build_policy(policy, sys));
-    let mut llc = Llc::new(&sys.mem);
-    let mut gemm = GemmEngine::new(&sys.gpu, grid.clone());
     let bursts = 16u64.min(comm_bytes / sys.mem.txn_bytes).max(1);
-    let burst_bytes = comm_bytes / bursts;
-    let burst_interval = (isolated.cycles / (bursts + 1)).max(1);
-    let mut issued = 0u64;
-    let mut now: Cycle = 0;
-    let contended = loop {
-        mc.step(now, None);
-        if issued < bursts && now >= (issued + 1) * burst_interval {
-            let class = if issued.is_multiple_of(2) {
-                TrafficClass::RsRead
-            } else {
-                TrafficClass::RsUpdate
-            };
-            mc.enqueue(StreamId::Comm, class, burst_bytes, 1.0);
-            issued += 1;
-        }
-        match gemm.step(now, &mut mc, &mut llc) {
-            GemmEvent::Idle => {}
-            GemmEvent::StageStoresIssued {
-                wg_start, wg_end, ..
-            } => route_stage_stores(
-                &grid,
-                wg_start,
-                wg_end,
-                WritePolicy::CachedLocal,
-                &mut mc,
-                &mut llc,
-            ),
-            GemmEvent::Finished => {
-                // Match run_gemm_isolated's accounting: flush dirty
-                // output lines and drain the compute stream (the comm
-                // backlog is not the GEMM's problem).
-                let flush = llc.flush_dirty();
-                mc.enqueue(StreamId::Compute, TrafficClass::GemmWrite, flush, 1.0);
-                while mc.pending_bytes(StreamId::Compute) > 0 {
-                    now += 1;
-                    mc.step(now, None);
-                    assert!(now < 4_000_000_000, "drain failed to converge");
-                }
-                break now;
-            }
-        }
-        now += 1;
-        assert!(now < 4_000_000_000, "contended GEMM failed to converge");
+    let mut run = ContendedGemm {
+        mc: MemoryController::new(&sys.mem, policy.build(sys)),
+        llc: Llc::new(&sys.mem),
+        gemm: GemmEngine::new(&sys.gpu, grid.clone()),
+        grid,
+        bursts,
+        burst_bytes: comm_bytes / bursts,
+        burst_interval: (isolated.cycles / (bursts + 1)).max(1),
+        issued: 0,
+        draining: false,
     };
+    // No event prediction: the contended GEMM steps every cycle.
+    let contended = drive(&mut run, SimMode::default(), 0, None);
     CoarseOverlapRow {
         isolated_gemm_cycles: isolated.cycles,
         contended_gemm_cycles: contended,
@@ -235,17 +200,62 @@ pub fn coarse_overlap_study(
     }
 }
 
-fn build_policy(
-    policy: crate::engine::PolicyChoice,
-    sys: &SystemConfig,
-) -> Box<dyn t3_mem::arbiter::ArbitrationPolicy> {
-    use crate::engine::PolicyChoice;
-    use t3_mem::arbiter::{ComputeFirstPolicy, McaPolicy, RoundRobinPolicy};
-    match policy {
-        PolicyChoice::RoundRobin => Box::new(RoundRobinPolicy::new()),
-        PolicyChoice::ComputeFirst => Box::new(ComputeFirstPolicy::new()),
-        PolicyChoice::McaDynamic => Box::new(McaPolicy::new(&sys.mem)),
-        PolicyChoice::McaFixed(t) => Box::new(McaPolicy::with_fixed_threshold(t)),
+/// A GEMM sharing its memory controller with bursts of background
+/// communication traffic. Once the GEMM finishes it only drains its own
+/// compute stream; the comm backlog is not the GEMM's problem.
+struct ContendedGemm {
+    grid: GemmGrid,
+    mc: MemoryController,
+    llc: Llc,
+    gemm: GemmEngine,
+    bursts: u64,
+    burst_bytes: Bytes,
+    burst_interval: Cycle,
+    issued: u64,
+    draining: bool,
+}
+
+impl Clocked for ContendedGemm {
+    fn step(&mut self, now: Cycle) {
+        self.mc.step(now, None);
+        if self.draining {
+            return;
+        }
+        if self.issued < self.bursts && now >= (self.issued + 1) * self.burst_interval {
+            let class = if self.issued.is_multiple_of(2) {
+                TrafficClass::RsRead
+            } else {
+                TrafficClass::RsUpdate
+            };
+            self.mc
+                .enqueue(StreamId::Comm, class, self.burst_bytes, 1.0);
+            self.issued += 1;
+        }
+        match self.gemm.step(now, &mut self.mc, &mut self.llc) {
+            GemmEvent::Idle => {}
+            GemmEvent::StageStoresIssued {
+                wg_start, wg_end, ..
+            } => route_stage_stores(
+                &self.grid,
+                wg_start,
+                wg_end,
+                WritePolicy::CachedLocal,
+                &mut self.mc,
+                &mut self.llc,
+            ),
+            GemmEvent::Finished => {
+                // Match run_gemm_isolated's accounting: flush dirty
+                // output lines, then drain the compute stream.
+                let flush = self.llc.flush_dirty();
+                self.mc
+                    .enqueue(StreamId::Compute, TrafficClass::GemmWrite, flush, 1.0);
+                self.draining = true;
+            }
+        }
+    }
+
+    fn is_done(&self, _now: Cycle) -> bool {
+        self.draining && self.mc.pending_bytes(StreamId::Compute) == 0
     }
 }
 
@@ -372,7 +382,6 @@ mod tests {
 
     #[test]
     fn coarse_overlap_contention_and_mca_relief() {
-        use crate::engine::PolicyChoice;
         let s = sys();
         // A memory-sensitive GEMM with substantial background traffic.
         let shape = GemmShape::new(2048, 4256, 2128);

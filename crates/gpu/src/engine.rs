@@ -25,7 +25,7 @@ use t3_mem::controller::{MemoryController, StreamId};
 use t3_mem::llc::{AccessKind, Llc};
 use t3_sim::config::GpuConfig;
 use t3_sim::stats::TrafficClass;
-use t3_sim::{Bytes, Cycle, SimMode};
+use t3_sim::{drive, Bytes, Clocked, Cycle, SimMode};
 
 /// What happened during one engine step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -347,58 +347,81 @@ pub fn run_gemm_isolated_traced_in_mode(
     bucket: Option<t3_sim::Cycle>,
     mode: SimMode,
 ) -> (IsolatedGemmRun, Option<t3_sim::timeseries::TimeSeries>) {
-    let mut mc = MemoryController::new(
-        &sys.mem,
-        Box::new(t3_mem::arbiter::ComputeFirstPolicy::new()),
-    );
-    let mut llc = Llc::new(&sys.mem);
-    let mut engine = GemmEngine::new(&sys.gpu, grid);
-    let mut ts = bucket.map(t3_sim::timeseries::TimeSeries::new);
-    let mut now: Cycle = 0;
-    let mut finished = false;
-    while !finished || !mc.is_idle() {
-        mc.step(now, ts.as_mut());
-        match engine.step(now, &mut mc, &mut llc) {
+    let mut run = IsolatedGemm {
+        mc: MemoryController::new(
+            &sys.mem,
+            Box::new(t3_mem::arbiter::ComputeFirstPolicy::new()),
+        ),
+        llc: Llc::new(&sys.mem),
+        engine: GemmEngine::new(&sys.gpu, grid),
+        ts: bucket.map(t3_sim::timeseries::TimeSeries::new),
+        write_policy,
+        finished: false,
+    };
+    // The kernel ends one cycle past its last stepped cycle.
+    let cycles = drive(&mut run, mode, 0, None) + 1;
+    (
+        IsolatedGemmRun {
+            cycles,
+            stats: run.mc.stats().clone(),
+        },
+        run.ts,
+    )
+}
+
+/// One GEMM against its own memory controller and LLC.
+struct IsolatedGemm {
+    mc: MemoryController,
+    llc: Llc,
+    engine: GemmEngine,
+    ts: Option<t3_sim::timeseries::TimeSeries>,
+    write_policy: WritePolicy,
+    finished: bool,
+}
+
+impl Clocked for IsolatedGemm {
+    fn step(&mut self, now: Cycle) {
+        self.mc.step(now, self.ts.as_mut());
+        match self.engine.step(now, &mut self.mc, &mut self.llc) {
             GemmEvent::Idle => {}
             GemmEvent::StageStoresIssued {
                 wg_start, wg_end, ..
             } => {
                 route_stage_stores(
-                    engine.grid(),
+                    self.engine.grid(),
                     wg_start,
                     wg_end,
-                    write_policy,
-                    &mut mc,
-                    &mut llc,
+                    self.write_policy,
+                    &mut self.mc,
+                    &mut self.llc,
                 );
             }
             GemmEvent::Finished => {
-                if let WritePolicy::CachedLocal = write_policy {
-                    let flush = llc.flush_dirty();
-                    mc.enqueue(StreamId::Compute, TrafficClass::GemmWrite, flush, 1.0);
+                if let WritePolicy::CachedLocal = self.write_policy {
+                    let flush = self.llc.flush_dirty();
+                    self.mc
+                        .enqueue(StreamId::Compute, TrafficClass::GemmWrite, flush, 1.0);
                 }
-                finished = true;
+                self.finished = true;
             }
         }
-        let mut next = now + 1;
-        if mode == SimMode::FastForward && mc.is_idle() {
-            if let Some(target) = engine.next_event(now, &mc) {
-                if target > next {
-                    mc.skip_idle(next, target, None);
-                    next = target;
-                }
-            }
-        }
-        now = next;
-        assert!(now < 2_000_000_000, "isolated GEMM failed to converge");
     }
-    (
-        IsolatedGemmRun {
-            cycles: now,
-            stats: mc.stats().clone(),
-        },
-        ts,
-    )
+
+    /// A busy controller pins the next cycle; otherwise the GEMM's next
+    /// phase boundary.
+    fn next_event(&self, now: Cycle) -> Option<Cycle> {
+        self.mc
+            .next_event(now)
+            .or_else(|| self.engine.next_event(now, &self.mc))
+    }
+
+    fn skip_idle(&mut self, from: Cycle, to: Cycle) {
+        self.mc.skip_idle(from, to, None);
+    }
+
+    fn is_done(&self, _now: Cycle) -> bool {
+        self.finished && self.mc.is_idle()
+    }
 }
 
 /// Routes one stage's stores according to `policy`. Shared by the

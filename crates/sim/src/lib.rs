@@ -68,6 +68,93 @@ impl SimMode {
     }
 }
 
+/// Simulated time past which [`drive`] declares a run non-convergent.
+/// Every engine loop shares this one guard.
+pub const CONVERGENCE_GUARD: Cycle = 4_000_000_000;
+
+/// A composed simulation that [`drive`] can advance through time.
+///
+/// Implementors own their components (GEMM engine, memory controller,
+/// DMA, links, tracker) and describe one cycle of work; the driver
+/// owns `now`, the fast-forward leap and the convergence guard.
+pub trait Clocked {
+    /// Advances every component through cycle `now`.
+    fn step(&mut self, now: Cycle);
+
+    /// The earliest cycle strictly after `now` (already stepped) at
+    /// which stepping can change observable state; `None` when nothing
+    /// is pending. Must be `Some(now + 1)` whenever any memory
+    /// controller is busy — the controller's own `next_event` says so —
+    /// which is what confines leaps to quiescent cycles. The default
+    /// predicts the very next cycle: the engine steps every cycle.
+    fn next_event(&self, now: Cycle) -> Option<Cycle> {
+        Some(now + 1)
+    }
+
+    /// Replays the side effects of the quiescent cycles `[from, to)`
+    /// in closed form instead of stepping them. Only called after
+    /// `next_event` predicted `to`, so an engine that keeps the default
+    /// prediction never sees it.
+    fn skip_idle(&mut self, _from: Cycle, _to: Cycle) {}
+
+    /// True once the run is complete after stepping `now`.
+    fn is_done(&self, now: Cycle) -> bool;
+}
+
+/// Minimum of two optional event cycles (`None` = no event).
+pub fn min_event(a: Option<Cycle>, b: Option<Cycle>) -> Option<Cycle> {
+    match (a, b) {
+        (Some(x), Some(y)) => Some(x.min(y)),
+        (x, None) => x,
+        (None, y) => y,
+    }
+}
+
+/// Advances `sim` from cycle `start` until it reports done, and
+/// returns the last stepped cycle. With a `horizon`, also stops once
+/// time reaches it (without stepping it) and returns the horizon.
+///
+/// Every cycle is stepped in [`SimMode::Stepped`]. In
+/// [`SimMode::FastForward`] the loop leaps to `sim.next_event`, clamped
+/// to the horizon (no prediction before a horizon leaps straight to
+/// it), replaying the skipped cycles through `sim.skip_idle`. An early
+/// prediction only costs one idle step; a late one would skip a real
+/// event, which is why predictors must be exact or early.
+///
+/// # Panics
+///
+/// Panics if time reaches [`CONVERGENCE_GUARD`] (an engine bug).
+pub fn drive<C: Clocked + ?Sized>(
+    sim: &mut C,
+    mode: SimMode,
+    start: Cycle,
+    horizon: Option<Cycle>,
+) -> Cycle {
+    let mut now = start;
+    loop {
+        sim.step(now);
+        if sim.is_done(now) {
+            return now;
+        }
+        let mut next = now + 1;
+        if mode == SimMode::FastForward {
+            let target = match sim.next_event(now) {
+                Some(t) => horizon.map_or(t, |h| t.min(h)),
+                None => horizon.unwrap_or(next),
+            };
+            if target > next {
+                sim.skip_idle(next, target);
+                next = target;
+            }
+        }
+        if let Some(h) = horizon.filter(|&h| next >= h) {
+            return h;
+        }
+        now = next;
+        assert!(now < CONVERGENCE_GUARD, "simulation failed to converge");
+    }
+}
+
 /// Converts a bandwidth in GB/s (decimal: 1e9 bytes/s) into bytes per
 /// core cycle at the given clock.
 ///
@@ -170,6 +257,106 @@ mod tests {
     #[test]
     fn cycles_to_us_at_one_ghz() {
         assert!((cycles_to_us(1000, 1.0) - 1.0).abs() < 1e-12);
+    }
+
+    /// A toy engine whose state changes at fixed cycles. Its predictor
+    /// can report each event `early` cycles ahead of time.
+    struct Toy {
+        events: Vec<Cycle>,
+        fired: usize,
+        early: Cycle,
+        steps: Vec<Cycle>,
+        skips: Vec<(Cycle, Cycle)>,
+    }
+
+    impl Toy {
+        fn new(events: &[Cycle], early: Cycle) -> Self {
+            Toy {
+                events: events.to_vec(),
+                fired: 0,
+                early,
+                steps: Vec::new(),
+                skips: Vec::new(),
+            }
+        }
+    }
+
+    impl Clocked for Toy {
+        fn step(&mut self, now: Cycle) {
+            self.steps.push(now);
+            if self.events.get(self.fired) == Some(&now) {
+                self.fired += 1;
+            }
+        }
+
+        fn next_event(&self, now: Cycle) -> Option<Cycle> {
+            let t = *self.events.get(self.fired)?;
+            let early = t.saturating_sub(self.early);
+            Some(if early > now + 1 {
+                early
+            } else {
+                t.max(now + 1)
+            })
+        }
+
+        fn skip_idle(&mut self, from: Cycle, to: Cycle) {
+            self.skips.push((from, to));
+        }
+
+        fn is_done(&self, _now: Cycle) -> bool {
+            self.fired == self.events.len()
+        }
+    }
+
+    #[test]
+    fn drive_steps_every_cycle_or_leaps_to_the_next_event() {
+        let mut stepped = Toy::new(&[10, 30], 0);
+        assert_eq!(drive(&mut stepped, SimMode::Stepped, 0, None), 30);
+        assert_eq!(stepped.steps, (0..=30).collect::<Vec<_>>());
+        assert!(stepped.skips.is_empty());
+
+        let mut fast = Toy::new(&[10, 30], 0);
+        assert_eq!(drive(&mut fast, SimMode::FastForward, 0, None), 30);
+        assert_eq!(fast.steps, vec![0, 10, 30]);
+        assert_eq!(fast.skips, vec![(1, 10), (11, 30)]);
+    }
+
+    #[test]
+    fn drive_clamps_a_leap_to_the_horizon() {
+        let mut fast = Toy::new(&[100], 0);
+        assert_eq!(drive(&mut fast, SimMode::FastForward, 0, Some(50)), 50);
+        assert_eq!(fast.steps, vec![0]);
+        assert_eq!(fast.skips, vec![(1, 50)]);
+
+        // The horizon itself is never stepped, in either mode.
+        let mut stepped = Toy::new(&[100], 0);
+        assert_eq!(drive(&mut stepped, SimMode::Stepped, 40, Some(50)), 50);
+        assert_eq!(stepped.steps, (40..50).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn an_early_prediction_costs_exactly_one_extra_step() {
+        let mut exact = Toy::new(&[10], 0);
+        let mut early = Toy::new(&[10], 3);
+        assert_eq!(drive(&mut exact, SimMode::FastForward, 0, None), 10);
+        assert_eq!(drive(&mut early, SimMode::FastForward, 0, None), 10);
+        assert_eq!(exact.steps, vec![0, 10]);
+        assert_eq!(early.steps, vec![0, 7, 10]);
+        assert_eq!(early.skips, vec![(1, 7), (8, 10)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "failed to converge")]
+    fn drive_guards_against_a_run_that_never_finishes() {
+        let mut stuck = Toy::new(&[Cycle::MAX], 0);
+        drive(&mut stuck, SimMode::Stepped, CONVERGENCE_GUARD - 3, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "failed to converge")]
+    fn a_leap_cannot_jump_past_the_guard() {
+        let mut stuck = Toy::new(&[Cycle::MAX], 0);
+        drive(&mut stuck, SimMode::FastForward, 0, None);
     }
 
     #[test]
