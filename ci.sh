@@ -31,8 +31,10 @@ echo "==> perfbench build + tests (host-time benchmark harness)"
 # entry points (run_multi_gpu_fused_rs_on/_sharded,
 # run_fused_gemm_rs_instrumented, run_gemm_isolated_in_mode), so a
 # refactor that breaks one fails here. Its build output stays under
-# target/ so a CI pass leaves the working tree clean.
-CARGO_TARGET_DIR=target/perfbench cargo test --release --offline -q \
+# target/ so a CI pass leaves the working tree clean. `--locked` makes a
+# change to the crate graph fail here instead of silently rewriting
+# the benchmark's lockfile.
+CARGO_TARGET_DIR=target/perfbench cargo test --release --offline --locked -q \
     --manifest-path perfbench/Cargo.toml
 
 echo "==> figures smoke run (parallel runtime, fresh cache)"

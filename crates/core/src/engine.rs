@@ -13,9 +13,9 @@
 //! * the first chunk's stores leave as fine-grained remote updates on
 //!   the link and never touch local DRAM;
 //! * steady-state chunks are written locally as uncached near-memory
-//!   updates; the [`Tracker`] counts the local stores (at
-//!   memory-controller enqueue, Section 4.2.1) and the incoming
-//!   mirrored updates (as DRAM services them), and fires the
+//!   updates; the [`Tracker`](crate::tracker::Tracker) counts the
+//!   local stores (at memory-controller enqueue, Section 4.2.1) and the
+//!   incoming mirrored updates (as DRAM services them), and fires the
 //!   pre-programmed DMA when every wavefront region of a chunk is
 //!   complete;
 //! * the DMA reads the partially-reduced chunk once and sends it; its
@@ -23,32 +23,30 @@
 //! * the last chunk is the one this GPU owns: local + incoming updates
 //!   complete it in memory, with no further transfer.
 //!
-//! All DRAM traffic flows through one [`MemoryController`] under the
+//! All DRAM traffic flows through one
+//! [`MemoryController`](t3_mem::controller::MemoryController) under the
 //! configured arbitration policy — this is where T3 and T3-MCA differ
 //! (Sections 4.5, 6.1.2, 6.1.3).
 //!
-//! Each engine is a [`Clocked`] composition of its components, advanced
-//! by [`t3_sim::drive`]. The wavefront-region walker, the incoming-update
-//! feed and the proportional mirror below are shared with the explicit
-//! N-GPU engine in [`crate::multigpu`].
+//! Each engine is a [`Clocked`] composition, advanced by
+//! [`t3_sim::drive`], of the fused-device core it shares with the
+//! explicit N-GPU engine in [`crate::multigpu`] (GEMM, memory controller,
+//! LLC, Tracker and chunk bookkeeping) plus its own egress and mirror:
+//! a DMA engine and link for the ring, one link per peer for direct RS
+//! and all-to-all.
 
-use std::collections::VecDeque;
-
-use crate::addrmap::{ChunkRoute, OutputConfig};
-use crate::tracker::{Tracker, TrackerConfig, WfId};
-use t3_gpu::engine::{GemmEngine, GemmEvent};
+use crate::addrmap::OutputConfig;
+use crate::device::{ChunkState, FusedDevice};
 use t3_gpu::gemm::GemmGrid;
 use t3_mem::arbiter::{ArbitrationPolicy, ComputeFirstPolicy, McaPolicy, RoundRobinPolicy};
-use t3_mem::controller::{MemoryController, StreamId};
-use t3_mem::llc::Llc;
 use t3_mem::nmc::ReductionSubstrate;
-use t3_net::dma::{DmaCommand, DmaEngine};
+use t3_net::dma::DmaEngine;
 use t3_net::link::Link;
 use t3_net::ring::Ring;
 use t3_sim::config::SystemConfig;
-use t3_sim::stats::{TrafficClass, TrafficStats};
+use t3_sim::stats::TrafficStats;
 use t3_sim::timeseries::TimeSeries;
-use t3_sim::{drive, Bytes, Clocked, Cycle, SimMode};
+use t3_sim::{drive, min_event, Bytes, Clocked, Cycle, SimMode};
 use t3_trace::{reborrow, Event, Instruments};
 
 /// Arbitration policy selection for a fused run.
@@ -127,16 +125,6 @@ pub struct FusedRunResult {
 /// stores; below that, the tag is the DMA'd chunk's position.
 const TAG_REMOTE: u64 = 1 << 32;
 
-#[derive(Debug)]
-struct ChunkState {
-    bytes: Bytes,
-    route: ChunkRoute,
-    triggered_wfs: usize,
-    expected_wfs: usize,
-    dma_fired: bool,
-    feed_built: bool,
-}
-
 /// Mirror traffic scheduled to enter the comm stream at `at`.
 #[derive(Debug, Clone, Copy)]
 struct PendingIncoming {
@@ -165,140 +153,6 @@ fn next_due(pending: &[PendingIncoming], now: Cycle) -> Option<Cycle> {
     pending.iter().map(|p| p.at.max(now + 1)).min()
 }
 
-/// One non-empty wavefront output region: the unit the [`Tracker`]
-/// counts.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct WfRegion {
-    wf: WfId,
-    addr: u64,
-    elems: u64,
-}
-
-/// Every non-empty WF output region of the WGs in `[w0, w1)`, in WG/WF
-/// order.
-pub(crate) fn wf_regions(
-    grid: &GemmGrid,
-    (w0, w1): (u64, u64),
-) -> impl Iterator<Item = WfRegion> + '_ {
-    let wfs = grid.wfs_per_wg();
-    let elem_bytes = grid.shape().elem_bytes;
-    (w0..w1).flat_map(move |wg| {
-        let t = grid.wg_tile(wg);
-        let (base, _) = grid.wg_output_region(wg);
-        (0..wfs).filter_map(move |wf| {
-            let (r0, r1) = crate::fused::wf_rows(t.height as usize, wfs, wf);
-            let elems = ((r1 - r0) as u64) * t.width;
-            (elems > 0).then(|| WfRegion {
-                wf: WfId { wg, wf },
-                addr: base + (r0 as u64) * t.width * elem_bytes,
-                elems,
-            })
-        })
-    })
-}
-
-/// Records local NMC-update stores for the WGs in `bounds` (one full
-/// region per WF, counted when the stores enter the memory-controller
-/// queue) and returns how many WF regions completed.
-pub(crate) fn record_local(
-    grid: &GemmGrid,
-    tracker: &mut Tracker,
-    bounds: (u64, u64),
-    updates: u32,
-) -> usize {
-    wf_regions(grid, bounds)
-        .filter(|r| {
-            tracker
-                .record_update(r.wf, r.addr, r.elems, r.elems, updates)
-                .is_some()
-        })
-        .count()
-}
-
-/// A wavefront region in the incoming-update attribution FIFO.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct FeedEntry {
-    pub(crate) position: usize,
-    region: WfRegion,
-    updates: u32,
-    region_bytes: Bytes,
-    consumed_bytes: Bytes,
-}
-
-/// The incoming-update attribution FIFO: serviced comm-stream update
-/// bytes are credited to WF regions in announcement order, and each
-/// completed region is counted by the tracker.
-#[derive(Debug, Default)]
-pub(crate) struct Feed {
-    entries: VecDeque<FeedEntry>,
-    serviced_seen: Bytes,
-}
-
-impl Feed {
-    /// Appends one full pass over the WF regions of `bounds`, whose
-    /// elements expect `updates` updates each. Attribution advances only
-    /// as the memory controller services announced bytes, so queueing a
-    /// whole chunk up front is safe.
-    pub(crate) fn push_chunk(
-        &mut self,
-        grid: &GemmGrid,
-        bounds: (u64, u64),
-        position: usize,
-        updates: u32,
-    ) {
-        let elem_bytes = grid.shape().elem_bytes;
-        self.entries
-            .extend(wf_regions(grid, bounds).map(|region| FeedEntry {
-                position,
-                region,
-                updates,
-                region_bytes: region.elems * elem_bytes,
-                consumed_bytes: 0,
-            }));
-    }
-
-    /// Credits the controller's cumulative `serviced` update bytes to
-    /// the FIFO in order, recording each fully serviced region in the
-    /// tracker and calling `fired` for every region whose tracker entry
-    /// completes.
-    pub(crate) fn attribute(
-        &mut self,
-        serviced: Bytes,
-        tracker: &mut Tracker,
-        mut fired: impl FnMut(&FeedEntry),
-    ) {
-        if serviced <= self.serviced_seen {
-            return;
-        }
-        let mut delta = serviced - self.serviced_seen;
-        self.serviced_seen = serviced;
-        while delta > 0 {
-            let entry = self
-                .entries
-                .front_mut()
-                .expect("serviced more than announced");
-            let take = delta.min(entry.region_bytes - entry.consumed_bytes);
-            entry.consumed_bytes += take;
-            delta -= take;
-            if entry.consumed_bytes == entry.region_bytes {
-                let e = *entry;
-                self.entries.pop_front();
-                let r = e.region;
-                if tracker
-                    .record_update(r.wf, r.addr, r.elems, r.elems, e.updates)
-                    .is_some()
-                {
-                    fired(&e);
-                }
-            }
-        }
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 /// Exact proportional mirroring of an outgoing chunk onto an incoming
 /// one: once `sent` bytes of a `src_total`-byte chunk have left,
 /// `sent * dst_total / src_total` bytes of the mirrored chunk have
@@ -323,13 +177,6 @@ impl Mirror {
         self.announced += mirrored;
         mirrored
     }
-}
-
-pub(crate) fn position_of_wg(bounds: &[(u64, u64)], wg: u64) -> usize {
-    bounds
-        .iter()
-        .position(|&(w0, w1)| wg >= w0 && wg < w1)
-        .expect("wg outside chunk space")
 }
 
 /// Runs the fused GEMM + ring reduce-scatter on one (mirrored) GPU.
@@ -393,24 +240,12 @@ pub fn run_fused_gemm_rs_instrumented(
     // that the staggered schedule of the simulated GPU coincides with
     // the GEMM's natural WG order — the routes per position (warm-up
     // remote, N-2 DMA steps, owned last) are identical either way.
-    let bounds: Vec<(u64, u64)> = (0..n)
-        .map(|p| grid.chunk_wg_bounds(n as u64, p as u64))
-        .collect();
+    // Every position after the warm-up one receives one mirrored pass.
     let chunks: Vec<ChunkState> = (0..n)
         .map(|p| {
-            let (wg_bounds, route) = (bounds[p], config.route(p));
-            ChunkState {
-                bytes: grid.wg_range_output_bytes(wg_bounds.0, wg_bounds.1),
-                route,
-                triggered_wfs: 0,
-                expected_wfs: if route.tracked() {
-                    wf_regions(&grid, wg_bounds).count()
-                } else {
-                    0
-                },
-                dma_fired: false,
-                feed_built: false,
-            }
+            let start = grid.chunk_wg_bounds(n as u64, p as u64).0;
+            let passes = usize::from(p >= 1);
+            ChunkState::new(&grid, n, start, p, config.route(p), true, passes)
         })
         .collect();
 
@@ -427,105 +262,63 @@ pub fn run_fused_gemm_rs_instrumented(
                 + sys.link.latency_cycles())
     };
 
-    let mut mc = MemoryController::new(&sys.mem, opts.policy.build(sys));
-    mc.reset_occupancy_window();
+    let cost = opts.substrate.update_cost_multiplier(&sys.mem);
     let mut run = RingRs {
-        grid: &grid,
-        update_cost: opts.substrate.update_cost_multiplier(&sys.mem),
+        dev: FusedDevice::new(sys, &grid, opts.policy, cost, chunks),
         no_stagger_delay,
-        bounds,
-        chunks,
-        mc,
-        llc: Llc::new(&sys.mem),
-        gemm: GemmEngine::new(&sys.gpu, grid.clone()),
         dma: DmaEngine::new(&sys.link),
-        tracker: Tracker::new(TrackerConfig::paper(grid.wf_tile_elems())),
         ts: opts.timeseries_bucket.map(TimeSeries::new),
         pending: Vec::new(),
-        feed: Feed::default(),
         warmup: Mirror::default(),
         remote_seq: 0,
-        first_stage_done: false,
-        gemm_done: false,
-        dma_transfers: 0,
         ins,
     };
     let now = drive(&mut run, opts.mode, 0, None);
 
     let RingRs {
-        mc,
-        llc,
-        dma,
-        tracker,
-        ts,
-        dma_transfers,
-        mut ins,
-        ..
+        dev, dma, ts, ins, ..
     } = run;
-    if let Some(ins) = reborrow(&mut ins) {
-        ins.record(
-            now,
-            Event::LlcSample {
-                hits: llc.hits(),
-                misses: llc.misses(),
-            },
-        );
+    let dma_transfers = dev.dma_transfers();
+    if let Some(ins) = ins {
+        dev.snapshot(ins, now, dma_transfers);
         if let Some(m) = ins.metrics.as_mut() {
-            m.set("run.cycles", now);
-            m.set("dma.transfers", dma_transfers);
-            m.set("tracker.peak_entries", tracker.peak_entries() as u64);
-            m.set("mc.stream_switches", mc.stream_switches());
-            m.set("llc.hits", llc.hits());
-            m.set("llc.misses", llc.misses());
-            m.record_traffic(mc.stats());
+            m.set("mc.stream_switches", dev.mc.stream_switches());
         }
     }
 
     FusedRunResult {
         cycles: now,
-        stats: mc.stats().clone(),
+        stats: dev.mc.stats().clone(),
         timeseries: ts,
         dma_transfers,
-        peak_tracker_entries: tracker.peak_entries(),
+        peak_tracker_entries: dev.tracker.peak_entries(),
         link_bytes_sent: dma.bytes_sent(),
     }
 }
 
-/// The mirrored ring-RS GPU: its components plus the fused-schedule
-/// bookkeeping that couples them.
+/// The mirrored ring-RS GPU: the fused device, its DMA engine and the
+/// mirror that turns its own deliveries into its incoming traffic.
 struct RingRs<'a> {
-    grid: &'a GemmGrid,
-    update_cost: f64,
+    dev: FusedDevice,
     no_stagger_delay: Cycle,
-    bounds: Vec<(u64, u64)>,
-    chunks: Vec<ChunkState>,
-    mc: MemoryController,
-    llc: Llc,
-    gemm: GemmEngine,
     dma: DmaEngine,
-    tracker: Tracker,
     ts: Option<TimeSeries>,
     pending: Vec<PendingIncoming>,
-    feed: Feed,
     /// Mirrors the warm-up chunk's remote stores onto position 1.
     warmup: Mirror,
     remote_seq: u64,
-    first_stage_done: bool,
-    gemm_done: bool,
-    dma_transfers: u64,
     ins: Option<&'a mut Instruments>,
 }
 
 impl Clocked for RingRs<'_> {
     fn step(&mut self, now: Cycle) {
-        self.mc
+        self.dev
+            .mc
             .step_traced(now, self.ts.as_mut(), reborrow(&mut self.ins));
 
         // 1. Attribute newly serviced incoming updates to the tracker.
-        let serviced = self.mc.stats().bytes(TrafficClass::RsUpdate);
-        let (chunks, ins) = (&mut self.chunks, &mut self.ins);
-        self.feed.attribute(serviced, &mut self.tracker, |e| {
-            chunks[e.position].triggered_wfs += 1;
+        let ins = &mut self.ins;
+        self.dev.attribute(|e| {
             if let Some(ins) = reborrow(ins) {
                 if ins.tracer.as_ref().is_some_and(|t| t.fine()) {
                     ins.record(
@@ -543,106 +336,33 @@ impl Clocked for RingRs<'_> {
 
         // 2. Release due incoming announcements into the comm stream.
         for p in take_due(&mut self.pending, now) {
-            let chunk = &mut self.chunks[p.position];
-            if !chunk.feed_built {
-                let (bounds, updates) =
-                    (self.bounds[p.position], chunk.route.updates_per_element());
-                self.feed.push_chunk(self.grid, bounds, p.position, updates);
-                chunk.feed_built = true;
-            }
-            self.mc.enqueue(
-                StreamId::Comm,
-                TrafficClass::RsUpdate,
-                p.bytes,
-                self.update_cost,
-            );
+            self.dev.receive(p.position, p.bytes);
         }
 
-        // 3. Advance the producer GEMM.
-        match self.gemm.step(now, &mut self.mc, &mut self.llc) {
-            GemmEvent::Idle => {}
-            GemmEvent::Finished => self.gemm_done = true,
-            GemmEvent::StageStoresIssued {
-                stage,
-                wg_start,
-                wg_end,
-                bytes,
-                started,
-                compute_cycles,
-            } => {
-                if let Some(ins) = reborrow(&mut self.ins) {
-                    ins.record(
-                        now,
-                        Event::GemmStage {
-                            stage,
-                            wg_start,
-                            wg_end,
-                            start: started,
-                            end: now,
-                            bytes,
-                            compute_cycles,
-                        },
-                    );
-                    ins.add("gemm.stages", 1);
-                    ins.observe("gemm.stage_cycles", now - started);
-                }
-                if !self.first_stage_done {
-                    // T3-MCA's first-stage memory-intensity probe
-                    // (Section 4.5): the first stage ran before any
-                    // communication traffic existed.
-                    self.mc
-                        .observe_compute_intensity(self.mc.avg_occupancy_fraction());
-                    self.first_stage_done = true;
-                }
-                // Split the stage's WGs across chunk boundaries.
-                let mut wg = wg_start;
-                while wg < wg_end {
-                    let pos = position_of_wg(&self.bounds, wg);
-                    let upper = self.bounds[pos].1.min(wg_end);
-                    let bytes = self.grid.wg_range_output_bytes(wg, upper);
-                    let chunk = &mut self.chunks[pos];
-                    match chunk.route {
-                        ChunkRoute::RemoteUpdate { .. } => {
-                            // Warm-up chunk: stores go straight onto the
-                            // link; the mirrored incoming copy for the
-                            // next chunk arrives at delivery time.
-                            self.dma.send_direct_traced(
-                                now,
-                                TAG_REMOTE + self.remote_seq,
-                                bytes,
-                                reborrow(&mut self.ins),
-                            );
-                            self.remote_seq += 1;
-                        }
-                        ChunkRoute::LocalOnly { .. } | ChunkRoute::LocalThenDmaUpdate { .. } => {
-                            // Uncached NMC update stores on the compute
-                            // stream; tracked at MCQ enqueue.
-                            self.mc.enqueue(
-                                StreamId::Compute,
-                                TrafficClass::GemmWrite,
-                                bytes,
-                                self.update_cost,
-                            );
-                            let updates = chunk.route.updates_per_element();
-                            chunk.triggered_wfs +=
-                                record_local(self.grid, &mut self.tracker, (wg, upper), updates);
-                        }
-                        _ => unreachable!("ring-RS uses no other routes"),
-                    }
-                    wg = upper;
-                }
-            }
+        // 3. Advance the producer GEMM. Warm-up stores go straight onto
+        // the link; the mirrored incoming copy for the next chunk
+        // arrives at delivery time.
+        let (dma, seq) = (&mut self.dma, &mut self.remote_seq);
+        let stage = self
+            .dev
+            .step_gemm(now, reborrow(&mut self.ins), |_, _, bytes, ins| {
+                dma.send_direct_traced(now, TAG_REMOTE + *seq, bytes, ins);
+                *seq += 1;
+            });
+        if let (Some(started), Some(ins)) = (stage, reborrow(&mut self.ins)) {
+            ins.observe("gemm.stage_cycles", now - started);
         }
 
         // 4. DMA engine: our deliveries mirror incoming traffic.
         for delivery in self
             .dma
-            .step_traced(now, &mut self.mc, reborrow(&mut self.ins))
+            .step_traced(now, &mut self.dev.mc, reborrow(&mut self.ins))
         {
+            let chunks = &self.dev.chunks;
             let (position, bytes) = if delivery.tag >= TAG_REMOTE {
                 // A warm-up portion reached the neighbour; announce the
                 // proportional mirrored portion of our position-1 chunk.
-                let (src, dst) = (self.chunks[0].bytes, self.chunks[1].bytes);
+                let (src, dst) = (chunks[0].bytes, chunks[1].bytes);
                 (1, self.warmup.advance(delivery.bytes, src, dst))
             } else {
                 // Mirrored: our chunk at position `tag` reaching the
@@ -659,8 +379,8 @@ impl Clocked for RingRs<'_> {
                     ins.add("chunks.received", 1);
                 }
                 let next = delivery.tag as usize + 1;
-                assert!(next < self.chunks.len(), "owned chunk is never DMA'd");
-                (next, self.chunks[next].bytes)
+                assert!(next < chunks.len(), "owned chunk is never DMA'd");
+                (next, chunks[next].bytes)
             };
             if bytes > 0 {
                 self.pending.push(PendingIncoming {
@@ -672,30 +392,9 @@ impl Clocked for RingRs<'_> {
         }
 
         // 5. Fire DMAs for completed steady-state chunks.
-        for (pos, chunk) in self.chunks.iter_mut().enumerate() {
-            if chunk.route.uses_dma()
-                && !chunk.dma_fired
-                && chunk.triggered_wfs == chunk.expected_wfs
-            {
-                chunk.dma_fired = true;
-                self.dma_transfers += 1;
-                if let Some(ins) = reborrow(&mut self.ins) {
-                    ins.record(
-                        now,
-                        Event::DmaTriggerFire {
-                            chunk: pos as u64,
-                            bytes: chunk.bytes,
-                        },
-                    );
-                    ins.add("dma.triggers_fired", 1);
-                }
-                self.dma.trigger(DmaCommand {
-                    id: pos as u64,
-                    bytes: chunk.bytes,
-                    read_class: TrafficClass::RsRead,
-                });
-            }
-        }
+        let dma = &mut self.dma;
+        self.dev
+            .fire_ready(now, reborrow(&mut self.ins), |cmd| dma.trigger(cmd));
     }
 
     /// A busy controller pins the next cycle; otherwise the earliest
@@ -703,34 +402,22 @@ impl Clocked for RingRs<'_> {
     /// service or a GEMM store, both of which are events themselves, so
     /// leaping to the earliest component event never skips a fire.
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        self.mc.next_event(now).or_else(|| {
-            [
-                self.gemm.next_event(now, &self.mc),
-                self.dma.next_event(now, &self.mc),
+        self.dev.next_event(now, || {
+            min_event(
+                self.dma.next_event(now, &self.dev.mc),
                 next_due(&self.pending, now),
-            ]
-            .into_iter()
-            .flatten()
-            .min()
+            )
         })
     }
 
     fn skip_idle(&mut self, from: Cycle, to: Cycle) {
-        self.mc.skip_idle(from, to, reborrow(&mut self.ins));
+        self.dev.mc.skip_idle(from, to, reborrow(&mut self.ins));
     }
 
-    /// Producer done, every tracked chunk complete, all queues and
-    /// wires drained.
+    /// The device done, all announcements released and the DMA engine
+    /// and its wire drained.
     fn is_done(&self, now: Cycle) -> bool {
-        self.gemm_done
-            && self
-                .chunks
-                .iter()
-                .all(|c| !c.route.tracked() || c.triggered_wfs == c.expected_wfs)
-            && self.pending.is_empty()
-            && self.feed.is_empty()
-            && self.dma.is_idle(now)
-            && self.mc.is_idle()
+        self.dev.is_done() && self.pending.is_empty() && self.dma.is_idle(now)
     }
 }
 
@@ -756,11 +443,9 @@ pub fn run_fused_gemm_direct_rs(
     );
     // Simulated device 0 owns chunk 0; all other chunks are
     // remote-mapped to their owners over dedicated links.
-    let owned_updates = OutputConfig::direct_reduce_scatter(sys.num_gpus, 0)
-        .route(0)
-        .updates_per_element();
+    let config = OutputConfig::direct_reduce_scatter(sys.num_gpus, 0);
     let update_cost = opts.substrate.update_cost_multiplier(&sys.mem);
-    run_direct(sys, grid, opts, Some(owned_updates), update_cost)
+    run_direct(sys, grid, opts, &config, true, update_cost)
 }
 
 /// Runs a fused GEMM + all-to-all (Sections 7.1/7.2, expert
@@ -778,202 +463,118 @@ pub fn run_fused_gemm_all_to_all(
     grid: GemmGrid,
     opts: &FusedOptions,
 ) -> FusedRunResult {
-    run_direct(sys, grid, opts, None, 1.0)
+    let config = OutputConfig::all_to_all(sys.num_gpus, 0);
+    run_direct(sys, grid, opts, &config, false, 1.0)
 }
 
-/// The direct-RS / all-to-all engine. `owned_updates` is the owned
-/// chunk's reduction threshold (`None` for all-to-all: the owned slot
-/// and the incoming chunks are plain, untracked writes); `cost` is the
-/// service-cost multiplier of both the local and the incoming stores.
+/// The direct-RS / all-to-all engine for device 0 of `config`.
+/// `tracked` says whether the Tracker counts the owned chunk (direct
+/// RS) or its slot and the incoming chunks are plain, untracked writes
+/// (all-to-all); `cost` is the service-cost multiplier of both the
+/// local and the incoming stores.
 fn run_direct(
     sys: &SystemConfig,
     grid: GemmGrid,
     opts: &FusedOptions,
-    owned_updates: Option<u32>,
+    config: &OutputConfig,
+    tracked: bool,
     cost: f64,
 ) -> FusedRunResult {
     let n = sys.num_gpus;
-    let bounds: Vec<(u64, u64)> = (0..n)
-        .map(|p| grid.chunk_wg_bounds(n as u64, p as u64))
-        .collect();
     // Incoming mirror: each peer streams updates for our owned chunk
     // as it computes the corresponding region; by homogeneity, peer p
     // produces our chunk's updates at the same time we produce chunk
     // p's stores. Deliveries (after link latency) enter the comm
     // stream; the tracker's feed consumes them in WF order, N-1 full
     // passes over the owned chunk.
-    let mut feed = Feed::default();
-    if let Some(updates) = owned_updates {
-        for _pass in 0..(n - 1) {
-            feed.push_chunk(&grid, bounds[0], 0, updates);
-        }
-    }
-    let mut mc = MemoryController::new(&sys.mem, opts.policy.build(sys));
-    mc.reset_occupancy_window();
+    let chunks: Vec<ChunkState> = (0..n)
+        .map(|p| {
+            let start = grid.chunk_wg_bounds(n as u64, p as u64).0;
+            let passes = if p == 0 { n - 1 } else { 0 };
+            ChunkState::new(&grid, n, start, p, config.route(p), tracked, passes)
+        })
+        .collect();
     let mut run = DirectFused {
-        grid: &grid,
-        owned_bytes: grid.wg_range_output_bytes(bounds[0].0, bounds[0].1),
-        expected_wfs: if owned_updates.is_some() {
-            wf_regions(&grid, bounds[0]).count()
-        } else {
-            0
-        },
-        bounds,
-        owned_updates,
-        cost,
-        mc,
-        llc: Llc::new(&sys.mem),
-        gemm: GemmEngine::new(&sys.gpu, grid.clone()),
+        dev: FusedDevice::new(sys, &grid, opts.policy, cost, chunks),
         // One outbound link per peer on the fully-connected topology;
         // all carry fine-grained remote stores.
         links: (0..n - 1).map(|_| Link::new(&sys.link)).collect(),
-        tracker: Tracker::new(TrackerConfig::paper(grid.wf_tile_elems())),
         ts: opts.timeseries_bucket.map(TimeSeries::new),
-        feed,
         pending: Vec::new(),
         mirrors: vec![Mirror::default(); n],
-        triggered_wfs: 0,
-        first_stage_done: false,
-        gemm_done: false,
     };
     let now = drive(&mut run, opts.mode, 0, None);
     FusedRunResult {
         cycles: now,
-        stats: run.mc.stats().clone(),
+        stats: run.dev.mc.stats().clone(),
         timeseries: run.ts,
         dma_transfers: 0,
-        peak_tracker_entries: run.tracker.peak_entries(),
+        peak_tracker_entries: run.dev.tracker.peak_entries(),
         link_bytes_sent: run.links.iter().map(|l| l.total_sent()).sum(),
     }
 }
 
 /// The mirrored GPU of the direct-RS and all-to-all engines.
-struct DirectFused<'a> {
-    grid: &'a GemmGrid,
-    bounds: Vec<(u64, u64)>,
-    owned_bytes: Bytes,
-    owned_updates: Option<u32>,
-    cost: f64,
-    mc: MemoryController,
-    llc: Llc,
-    gemm: GemmEngine,
+struct DirectFused {
+    dev: FusedDevice,
     links: Vec<Link>,
-    tracker: Tracker,
     ts: Option<TimeSeries>,
-    feed: Feed,
     pending: Vec<PendingIncoming>,
     /// Per peer chunk: its remote stores mirrored onto our owned chunk.
     mirrors: Vec<Mirror>,
-    triggered_wfs: usize,
-    expected_wfs: usize,
-    first_stage_done: bool,
-    gemm_done: bool,
 }
 
-impl Clocked for DirectFused<'_> {
+impl Clocked for DirectFused {
     fn step(&mut self, now: Cycle) {
-        self.mc.step(now, self.ts.as_mut());
+        self.dev.mc.step(now, self.ts.as_mut());
 
-        // Attribute serviced incoming updates to the tracker.
-        let serviced = self.mc.stats().bytes(TrafficClass::RsUpdate);
-        let triggered = &mut self.triggered_wfs;
-        self.feed
-            .attribute(serviced, &mut self.tracker, |_| *triggered += 1);
-        // Release due incoming announcements: reductions into the owned
+        // Attribute serviced incoming updates to the tracker, then
+        // release due incoming announcements: reductions into the owned
         // chunk, or plain writes into the all-to-all receive slots.
-        let incoming_class = if self.owned_updates.is_some() {
-            TrafficClass::RsUpdate
-        } else {
-            TrafficClass::AgWrite
-        };
+        self.dev.attribute(|_| {});
         for p in take_due(&mut self.pending, now) {
-            self.mc
-                .enqueue(StreamId::Comm, incoming_class, p.bytes, self.cost);
+            self.dev.receive(p.position, p.bytes);
         }
 
-        match self.gemm.step(now, &mut self.mc, &mut self.llc) {
-            GemmEvent::Idle => {}
-            GemmEvent::Finished => self.gemm_done = true,
-            GemmEvent::StageStoresIssued {
-                wg_start, wg_end, ..
-            } => {
-                if !self.first_stage_done {
-                    self.mc
-                        .observe_compute_intensity(self.mc.avg_occupancy_fraction());
-                    self.first_stage_done = true;
-                }
-                let mut wg = wg_start;
-                while wg < wg_end {
-                    // Split by chunk: chunk 0 is ours (local stores);
-                    // everything else leaves on a link.
-                    let chunk = position_of_wg(&self.bounds, wg);
-                    let (ca, cb) = self.bounds[chunk];
-                    let upper = cb.min(wg_end);
-                    let bytes = self.grid.wg_range_output_bytes(wg, upper);
-                    if chunk == 0 {
-                        self.mc.enqueue(
-                            StreamId::Compute,
-                            TrafficClass::GemmWrite,
-                            bytes,
-                            self.cost,
-                        );
-                        if let Some(updates) = self.owned_updates {
-                            self.triggered_wfs +=
-                                record_local(self.grid, &mut self.tracker, (wg, upper), updates);
-                        }
-                    } else {
-                        // Remote stores on the dedicated link to the
-                        // chunk's owner (each peer has its own wire).
-                        let idx = (chunk - 1) % self.links.len();
-                        let arrival = self.links[idx].send(now, chunk as u64, bytes);
-                        // Mirror: a peer's remote stores for our owned
-                        // chunk arrive with the same timing.
-                        let chunk_total = self.grid.wg_range_output_bytes(ca, cb);
-                        let mirrored =
-                            self.mirrors[chunk].advance(bytes, chunk_total, self.owned_bytes);
-                        if mirrored > 0 {
-                            self.pending.push(PendingIncoming {
-                                at: arrival,
-                                position: 0,
-                                bytes: mirrored,
-                            });
-                        }
-                    }
-                    wg = upper;
-                }
+        // Chunk 0 is ours (local stores); every other chunk leaves as
+        // remote stores on the dedicated link to its owner (each peer
+        // has its own wire).
+        let (links, mirrors, pending) = (&mut self.links, &mut self.mirrors, &mut self.pending);
+        let owned_bytes = self.dev.chunks[0].bytes;
+        self.dev.step_gemm(now, None, |pos, chunk, bytes, _| {
+            let idx = (pos - 1) % links.len();
+            let arrival = links[idx].send(now, pos as u64, bytes);
+            // Mirror: a peer's remote stores for our owned chunk arrive
+            // with the same timing.
+            let mirrored = mirrors[pos].advance(bytes, chunk.bytes, owned_bytes);
+            if mirrored > 0 {
+                pending.push(PendingIncoming {
+                    at: arrival,
+                    position: 0,
+                    bytes: mirrored,
+                });
             }
-        }
+        });
 
         // Drain link deliveries (arrival times were captured at send).
-        for l in &mut self.links {
+        for l in links {
             let _ = l.deliveries_until(now);
         }
     }
 
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        self.mc.next_event(now).or_else(|| {
+        self.dev.next_event(now, || {
             let links = self.links.iter().filter_map(|l| l.next_event(now)).min();
-            [
-                self.gemm.next_event(now, &self.mc),
-                links,
-                next_due(&self.pending, now),
-            ]
-            .into_iter()
-            .flatten()
-            .min()
+            min_event(links, next_due(&self.pending, now))
         })
     }
 
     fn skip_idle(&mut self, from: Cycle, to: Cycle) {
-        self.mc.skip_idle(from, to, None);
+        self.dev.mc.skip_idle(from, to, None);
     }
 
     fn is_done(&self, now: Cycle) -> bool {
-        self.gemm_done
-            && self.triggered_wfs == self.expected_wfs
-            && self.pending.is_empty()
-            && self.links.iter().all(|l| l.is_idle(now))
-            && self.mc.is_idle()
+        self.dev.is_done() && self.pending.is_empty() && self.links.iter().all(|l| l.is_idle(now))
     }
 }
 
@@ -983,6 +584,7 @@ mod tests {
     use t3_gpu::collective::{CollectiveKind, RingCollective};
     use t3_gpu::engine::{run_gemm_isolated, WritePolicy};
     use t3_gpu::gemm::GemmShape;
+    use t3_sim::stats::TrafficClass;
 
     fn sys() -> SystemConfig {
         SystemConfig::paper_default()

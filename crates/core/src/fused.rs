@@ -22,7 +22,7 @@
 //! * [`fused_gemm_all_to_all`] — the expert-parallel exchange.
 
 use crate::addrmap::{ChunkRoute, OutputConfig};
-use crate::engine::{position_of_wg, record_local, wf_regions};
+use crate::device::{position_of_wg, record_local, wf_regions};
 use crate::tracker::{Tracker, TrackerConfig};
 use t3_collectives::gemm::{matmul_tile, matmul_tile_krange};
 use t3_gpu::gemm::{GemmGrid, GemmShape};
@@ -376,7 +376,8 @@ fn run_fused(
     // Records updates for the WFs of `wg` at `device`.
     let record_wg =
         |devices: &mut Vec<DeviceState>, configs: &[OutputConfig], device: usize, wg: u64| {
-            let pos = configs[device].position_of_chunk(position_of_wg(&chunk_wg_bounds, wg));
+            let pos = configs[device]
+                .position_of_chunk(position_of_wg(chunk_wg_bounds.iter().copied(), wg));
             if !configs[device].route(pos).tracked() {
                 return;
             }

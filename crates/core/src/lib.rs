@@ -36,6 +36,7 @@
 pub mod addrmap;
 pub mod agfuse;
 pub mod configs;
+mod device;
 pub mod engine;
 pub mod fused;
 pub mod multigpu;

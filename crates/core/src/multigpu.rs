@@ -53,16 +53,14 @@ use std::collections::VecDeque;
 use std::panic::resume_unwind;
 use std::thread;
 
-use crate::addrmap::{ChunkRoute, OutputConfig};
-use crate::engine::{record_local, wf_regions, Feed, FusedOptions, FusedRunResult};
-use crate::tracker::{Tracker, TrackerConfig};
-use t3_gpu::engine::{GemmEngine, GemmEvent};
+use crate::addrmap::OutputConfig;
+use crate::device::{ChunkState, FusedDevice};
+use crate::engine::{FusedOptions, FusedRunResult};
 use t3_gpu::gemm::GemmGrid;
-use t3_mem::controller::{MemoryController, StreamId};
-use t3_mem::llc::Llc;
+use t3_net::dma::DmaReader;
 use t3_net::ring::Ring;
 use t3_sim::config::SystemConfig;
-use t3_sim::stats::{TrafficClass, TrafficStats};
+use t3_sim::stats::TrafficStats;
 use t3_sim::{drive, min_event, Bytes, Clocked, Cycle, CONVERGENCE_GUARD};
 use t3_topo::{Arrival, Fabric, Schedule, Topology};
 use t3_trace::{reborrow, Event, Instruments};
@@ -101,43 +99,23 @@ impl MultiGpuResult {
     }
 }
 
-/// Per-position bookkeeping.
-#[derive(Debug)]
-struct ChunkState {
-    /// Local WG bounds of this position in the device's execution
-    /// order.
-    wg_bounds: (u64, u64),
-    /// Global chunk id this position computes.
-    global_chunk: usize,
-    bytes: Bytes,
-    route: ChunkRoute,
-    /// Physical destination GPU for outgoing positions (`None` for
-    /// the owned chunk).
-    dest: Option<usize>,
-    /// Full passes of incoming updates this position expects (1 on a
-    /// ring; `N-1` for a direct fabric's owned chunk; 0 otherwise).
-    incoming_passes: usize,
-    triggered_wfs: usize,
-    expected_wfs: usize,
-    dma_fired: bool,
-    feed_built: bool,
+/// One simulated GPU: the fused-device core plus the DMA read stage
+/// whose payloads leave over the fabric.
+struct Gpu {
+    dev: FusedDevice,
+    dma: DmaReader,
+    finished_at: Option<Cycle>,
 }
 
-/// One simulated GPU.
-struct Gpu {
-    mc: MemoryController,
-    llc: Llc,
-    gemm: GemmEngine,
-    tracker: Tracker,
-    chunks: Vec<ChunkState>,
-    feed: Feed,
-    /// Pending DMA source reads: (position, serviced-read target).
-    dma_reading: Option<(usize, Bytes)>,
-    dma_queue: VecDeque<usize>,
-    first_stage_done: bool,
-    gemm_done: bool,
-    finished_at: Option<Cycle>,
-    dma_transfers: u64,
+impl Gpu {
+    /// The next cycle strictly after `now` at which stepping this
+    /// device can change its observable state, assuming nothing new
+    /// arrives from the fabric. `None` when the device is inert until
+    /// external input.
+    fn next_event(&self, now: Cycle) -> Option<Cycle> {
+        self.dev
+            .next_event(now, || self.dma.next_event(now, &self.dev.mc))
+    }
 }
 
 /// A fabric send a sharded worker buffered during its window, replayed
@@ -204,13 +182,6 @@ impl SendSink<'_> {
     }
 }
 
-/// Read-only per-run geometry shared by every device step.
-struct StepCtx<'a> {
-    grid: &'a GemmGrid,
-    global_bounds: &'a [(u64, u64)],
-    update_cost: f64,
-}
-
 /// Runs the fused GEMM-RS with every GPU simulated explicitly, on the
 /// ring fabric the paper evaluates.
 ///
@@ -255,7 +226,7 @@ fn build_run(
     grid: &GemmGrid,
     opts: &FusedOptions,
     topo: &Topology,
-) -> (Vec<Gpu>, Fabric, Vec<(u64, u64)>) {
+) -> (Vec<Gpu>, Fabric) {
     assert!(
         opts.substrate.reduces_in_memory(),
         "fused T3 requires an in-memory reduction substrate"
@@ -275,11 +246,7 @@ fn build_run(
         .map(|d| OutputConfig::from_reduce_scatter_schedule(&sched, d))
         .collect();
     let fabric = Fabric::new(topo);
-
-    // Global chunk geometry.
-    let global_bounds: Vec<(u64, u64)> = (0..n)
-        .map(|c| grid.chunk_wg_bounds(n as u64, c as u64))
-        .collect();
+    let update_cost = opts.substrate.update_cost_multiplier(&sys.mem);
 
     let gpus: Vec<Gpu> = (0..n)
         .map(|d| {
@@ -288,67 +255,40 @@ fn build_run(
             // leaves toward prev(d) (the ascending mirror-image
             // schedule); elsewhere the schedule-derived configuration
             // names both the chunk and its owner.
-            let mut chunks = Vec::with_capacity(n);
-            let mut cursor = 0u64;
+            let mut chunks: Vec<ChunkState> = Vec::with_capacity(n);
             for p in 0..n {
-                let (global_chunk, route, dest) = if is_ring {
+                let start = chunks.last().map_or(0, |c| c.wg_bounds.1);
+                let chunk = if is_ring {
                     let route = configs[0].route(p);
-                    let dest = (p < n - 1).then(|| ring.prev(d));
-                    ((d + p) % n, route, dest)
+                    let passes = usize::from(p >= 1);
+                    let mut chunk =
+                        ChunkState::new(grid, n, start, (d + p) % n, route, true, passes);
+                    chunk.dest = (p < n - 1).then(|| ring.prev(d));
+                    chunk
                 } else {
-                    let route = configs[d].route(p);
-                    (configs[d].chunk_id(p), route, route.destination())
-                };
-                let incoming_passes = if is_ring {
-                    usize::from(p >= 1)
-                } else {
-                    sched
+                    let global_chunk = configs[d].chunk_id(p);
+                    let passes = sched
                         .sends()
                         .filter(|s| s.dst == d && s.chunk == global_chunk)
-                        .count()
+                        .count();
+                    let route = configs[d].route(p);
+                    ChunkState::new(grid, n, start, global_chunk, route, true, passes)
                 };
-                let (g0, g1) = global_bounds[global_chunk];
-                let size = g1 - g0;
-                chunks.push(ChunkState {
-                    wg_bounds: (cursor, cursor + size),
-                    global_chunk,
-                    bytes: grid.wg_range_output_bytes(g0, g1),
-                    route,
-                    dest,
-                    incoming_passes,
-                    triggered_wfs: 0,
-                    expected_wfs: if route.tracked() {
-                        wf_regions(grid, (g0, g1)).count()
-                    } else {
-                        0
-                    },
-                    dma_fired: false,
-                    feed_built: false,
-                });
-                cursor += size;
+                chunks.push(chunk);
             }
             Gpu {
-                mc: MemoryController::new(&sys.mem, opts.policy.build(sys)),
-                llc: Llc::new(&sys.mem),
-                gemm: GemmEngine::new(&sys.gpu, grid.clone()),
-                tracker: Tracker::new(TrackerConfig::paper(grid.wf_tile_elems())),
-                chunks,
-                feed: Feed::default(),
-                dma_reading: None,
-                dma_queue: VecDeque::new(),
-                first_stage_done: false,
-                gemm_done: false,
+                dev: FusedDevice::new(sys, grid, opts.policy, update_cost, chunks),
+                dma: DmaReader::new(),
                 finished_at: None,
-                dma_transfers: 0,
             }
         })
         .collect();
-    (gpus, fabric, global_bounds)
+    (gpus, fabric)
 }
 
 /// One device's full per-cycle step: this cycle's fabric arrivals
 /// into the comm stream, memory controller, incoming update
-/// attribution, GEMM progress, DMA engine, trigger fires and
+/// attribution, GEMM progress, DMA read stage, trigger fires and
 /// completion bookkeeping. Outgoing traffic goes through `sink` so
 /// the sharded engine can defer it to its window barrier. `ins` must
 /// be `Some` only for the instrumented device.
@@ -357,10 +297,10 @@ fn step_device(
     d: usize,
     now: Cycle,
     incoming: &[Arrival],
-    ctx: &StepCtx,
     sink: &mut SendSink,
     mut ins: Option<&mut Instruments>,
 ) {
+    let dev = &mut gpu.dev;
     for inc in incoming {
         if let Some(ins) = reborrow(&mut ins) {
             ins.record(
@@ -372,194 +312,40 @@ fn step_device(
             );
             ins.add("chunks.received", 1);
         }
-        let global_chunk = inc.tag as usize;
-        let pos = gpu
+        let pos = dev
             .chunks
             .iter()
-            .position(|c| c.global_chunk == global_chunk)
+            .position(|c| c.global_chunk as u64 == inc.tag)
             .expect("chunk routed to wrong GPU");
-        let chunk = &mut gpu.chunks[pos];
-        if !chunk.feed_built {
-            let updates = chunk.route.updates_per_element();
-            for _ in 0..chunk.incoming_passes {
-                let bounds = ctx.global_bounds[global_chunk];
-                gpu.feed.push_chunk(ctx.grid, bounds, pos, updates);
-            }
-            chunk.feed_built = true;
-        }
-        gpu.mc.enqueue(
-            StreamId::Comm,
-            TrafficClass::RsUpdate,
-            inc.bytes,
-            ctx.update_cost,
-        );
+        dev.receive(pos, inc.bytes);
     }
-    gpu.mc.step_traced(now, None, reborrow(&mut ins));
-    let msg = |dst, tag, bytes| SendIntent {
+    dev.mc.step_traced(now, None, reborrow(&mut ins));
+    dev.attribute(|_| {});
+    // A message carrying `bytes` of `chunk` to its destination, tagged
+    // with its collective chunk id.
+    let msg = |chunk: &ChunkState, bytes| SendIntent {
         cycle: now,
         src: d,
-        dst,
-        tag,
+        dst: chunk.dest.expect("outgoing chunk has a destination"),
+        tag: chunk.global_chunk as u64,
         bytes,
     };
-
-    // Attribute serviced incoming updates.
-    let serviced = gpu.mc.stats().bytes(TrafficClass::RsUpdate);
-    let chunks = &mut gpu.chunks;
-    gpu.feed.attribute(serviced, &mut gpu.tracker, |e| {
-        chunks[e.position].triggered_wfs += 1;
+    dev.step_gemm(now, reborrow(&mut ins), |_, chunk, bytes, ins| {
+        sink.send(msg(chunk, bytes), false, ins);
     });
-
-    // GEMM progress.
-    match gpu.gemm.step(now, &mut gpu.mc, &mut gpu.llc) {
-        GemmEvent::Idle => {}
-        GemmEvent::Finished => gpu.gemm_done = true,
-        GemmEvent::StageStoresIssued {
-            stage,
-            wg_start,
-            wg_end,
-            bytes,
-            started,
-            compute_cycles,
-        } => {
-            if let Some(ins) = reborrow(&mut ins) {
-                ins.record(
-                    now,
-                    Event::GemmStage {
-                        stage,
-                        wg_start,
-                        wg_end,
-                        start: started,
-                        end: now,
-                        bytes,
-                        compute_cycles,
-                    },
-                );
-                ins.add("gemm.stages", 1);
-            }
-            if !gpu.first_stage_done {
-                let frac = gpu.mc.avg_occupancy_fraction();
-                gpu.mc.observe_compute_intensity(frac);
-                gpu.first_stage_done = true;
-            }
-            let mut wg = wg_start;
-            while wg < wg_end {
-                let pos = gpu
-                    .chunks
-                    .iter()
-                    .position(|c| wg >= c.wg_bounds.0 && wg < c.wg_bounds.1)
-                    .expect("wg outside chunk space");
-                let upper = gpu.chunks[pos].wg_bounds.1.min(wg_end);
-                // Bytes via the *global* chunk's tiles: local WG
-                // index offsets map 1:1 onto the rotated global
-                // range.
-                let (g0, _) = ctx.global_bounds[gpu.chunks[pos].global_chunk];
-                let local0 = gpu.chunks[pos].wg_bounds.0;
-                let bytes = ctx
-                    .grid
-                    .wg_range_output_bytes(g0 + (wg - local0), g0 + (upper - local0));
-                match gpu.chunks[pos].route {
-                    ChunkRoute::RemoteUpdate { .. } => {
-                        let dest = gpu.chunks[pos]
-                            .dest
-                            .expect("remote chunk has a destination");
-                        let tag = gpu.chunks[pos].global_chunk as u64;
-                        sink.send(msg(dest, tag, bytes), false, reborrow(&mut ins));
-                    }
-                    ChunkRoute::LocalOnly { .. } | ChunkRoute::LocalThenDmaUpdate { .. } => {
-                        gpu.mc.enqueue(
-                            StreamId::Compute,
-                            TrafficClass::GemmWrite,
-                            bytes,
-                            ctx.update_cost,
-                        );
-                        let global = (g0 + (wg - local0), g0 + (upper - local0));
-                        let updates = gpu.chunks[pos].route.updates_per_element();
-                        gpu.chunks[pos].triggered_wfs +=
-                            record_local(ctx.grid, &mut gpu.tracker, global, updates);
-                    }
-                    _ => unreachable!("fused RS uses no other routes"),
-                }
-                wg = upper;
-            }
-        }
+    if let Some(cmd) = gpu.dma.step(&mut dev.mc) {
+        let chunk = &dev.chunks[cmd.id as usize];
+        sink.send(msg(chunk, chunk.bytes), true, reborrow(&mut ins));
     }
-
-    // DMA engine: one source read in flight, then the fabric.
-    if let Some((pos, target)) = gpu.dma_reading {
-        if gpu.mc.stats().bytes(TrafficClass::RsRead) >= target {
-            let chunk = gpu.chunks[pos].global_chunk as u64;
-            let payload = gpu.chunks[pos].bytes;
-            let dest = gpu.chunks[pos].dest.expect("DMA chunk has a destination");
-            sink.send(msg(dest, chunk, payload), true, reborrow(&mut ins));
-            gpu.dma_transfers += 1;
-            gpu.dma_reading = None;
-        }
-    }
-    if gpu.dma_reading.is_none() {
-        if let Some(pos) = gpu.dma_queue.pop_front() {
-            let target = gpu.mc.stats().bytes(TrafficClass::RsRead) + gpu.chunks[pos].bytes;
-            gpu.mc.enqueue(
-                StreamId::Comm,
-                TrafficClass::RsRead,
-                gpu.chunks[pos].bytes,
-                1.0,
-            );
-            gpu.dma_reading = Some((pos, target));
-        }
-    }
-    // Fire DMAs for completed steady-state chunks.
-    for pos in 0..gpu.chunks.len() {
-        let c = &mut gpu.chunks[pos];
-        if c.route.uses_dma() && !c.dma_fired && c.triggered_wfs == c.expected_wfs {
-            c.dma_fired = true;
-            if let Some(ins) = reborrow(&mut ins) {
-                ins.record(
-                    now,
-                    Event::DmaTriggerFire {
-                        chunk: c.global_chunk as u64,
-                        bytes: c.bytes,
-                    },
-                );
-                ins.add("dma.triggers_fired", 1);
-            }
-            gpu.dma_queue.push_back(pos);
-        }
-    }
+    let dma = &mut gpu.dma;
+    dev.fire_ready(now, ins, |cmd| dma.trigger(cmd));
 
     // Completion bookkeeping (fabric payloads may still be in
     // flight toward a peer; that time belongs to the receiver,
     // which cannot finish before consuming them).
-    let chunks_done = gpu
-        .chunks
-        .iter()
-        .all(|c| !c.route.tracked() || c.triggered_wfs == c.expected_wfs);
-    if gpu.finished_at.is_none()
-        && gpu.gemm_done
-        && chunks_done
-        && gpu.feed.is_empty()
-        && gpu.dma_reading.is_none()
-        && gpu.dma_queue.is_empty()
-        && gpu.mc.is_idle()
-    {
+    if gpu.finished_at.is_none() && dev.is_done() && gpu.dma.is_idle() {
         gpu.finished_at = Some(now);
     }
-}
-
-/// The next cycle strictly after `now` at which stepping this device
-/// can change its observable state, assuming nothing new arrives from
-/// the fabric. `None` when the device is inert until external input.
-///
-/// A pending DMA (queued or reading) pins the very next cycle: the
-/// engine polls it every cycle and an un-serviced source read keeps
-/// the memory controller busy anyway.
-fn device_next_event(gpu: &Gpu, now: Cycle) -> Option<Cycle> {
-    if gpu.dma_reading.is_some() || !gpu.dma_queue.is_empty() {
-        return Some(now + 1);
-    }
-    gpu.mc
-        .next_event(now)
-        .or_else(|| gpu.gemm.next_event(now, &gpu.mc))
 }
 
 /// Assembles the run result once every device has finished.
@@ -573,8 +359,8 @@ fn finish_result(gpus: &[Gpu], fabric: &Fabric) -> MultiGpuResult {
     MultiGpuResult {
         cycles: max,
         skew: max - min,
-        per_gpu_stats: gpus.iter().map(|g| g.mc.stats().clone()).collect(),
-        dma_transfers: gpus.iter().map(|g| g.dma_transfers).sum(),
+        per_gpu_stats: gpus.iter().map(|g| g.dev.mc.stats().clone()).collect(),
+        dma_transfers: gpus.iter().map(|g| g.dev.dma_transfers()).sum(),
         link_bytes: fabric.link_bytes(),
         per_gpu_cycles,
     }
@@ -602,43 +388,18 @@ pub fn run_multi_gpu_fused_rs_on(
     topo: &Topology,
     ins: Option<&mut Instruments>,
 ) -> MultiGpuResult {
-    let (gpus, fabric, global_bounds) = build_run(sys, &grid, opts, topo);
-    let mut cluster = Cluster {
-        gpus,
-        fabric,
-        ctx: StepCtx {
-            grid: &grid,
-            global_bounds: &global_bounds,
-            update_cost: opts.substrate.update_cost_multiplier(&sys.mem),
-        },
-        ins,
-    };
+    let (gpus, fabric) = build_run(sys, &grid, opts, topo);
+    let mut cluster = Cluster { gpus, fabric, ins };
     drive(&mut cluster, opts.mode, 0, None);
 
-    let Cluster {
-        gpus,
-        fabric,
-        mut ins,
-        ..
-    } = cluster;
+    let Cluster { gpus, fabric, ins } = cluster;
     let result = finish_result(&gpus, &fabric);
-    if let Some(ins) = reborrow(&mut ins) {
-        let gpu0 = &gpus[0];
-        ins.record(
-            result.cycles,
-            Event::LlcSample {
-                hits: gpu0.llc.hits(),
-                misses: gpu0.llc.misses(),
-            },
-        );
+    if let Some(ins) = ins {
+        gpus[0]
+            .dev
+            .snapshot(ins, result.cycles, result.dma_transfers);
         if let Some(m) = ins.metrics.as_mut() {
-            m.set("run.cycles", result.cycles);
             m.set("run.skew", result.skew);
-            m.set("dma.transfers", result.dma_transfers);
-            m.set("tracker.peak_entries", gpu0.tracker.peak_entries() as u64);
-            m.set("llc.hits", gpu0.llc.hits());
-            m.set("llc.misses", gpu0.llc.misses());
-            m.record_traffic(gpu0.mc.stats());
         }
     }
     result
@@ -649,7 +410,6 @@ pub fn run_multi_gpu_fused_rs_on(
 struct Cluster<'a> {
     gpus: Vec<Gpu>,
     fabric: Fabric,
-    ctx: StepCtx<'a>,
     ins: Option<&'a mut Instruments>,
 }
 
@@ -663,7 +423,7 @@ impl Clocked for Cluster<'_> {
             };
             let incoming = self.fabric.deliveries_until(d, now);
             let mut sink = SendSink::Fabric(&mut self.fabric);
-            step_device(gpu, d, now, &incoming, &self.ctx, &mut sink, ins);
+            step_device(gpu, d, now, &incoming, &mut sink, ins);
         }
     }
 
@@ -673,7 +433,7 @@ impl Clocked for Cluster<'_> {
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         let mut next = None;
         for gpu in &self.gpus {
-            next = min_event(next, device_next_event(gpu, now));
+            next = min_event(next, gpu.next_event(now));
             if next == Some(now + 1) {
                 return next;
             }
@@ -688,7 +448,7 @@ impl Clocked for Cluster<'_> {
             } else {
                 None
             };
-            gpu.mc.skip_idle(from, to, ins);
+            gpu.dev.mc.skip_idle(from, to, ins);
         }
     }
 
@@ -702,29 +462,28 @@ impl Clocked for Cluster<'_> {
 /// sends into `intents`. Driven with the window end as horizon, so
 /// fast-forward leaps idle gaps exactly as the sequential engine does,
 /// clamped to the window.
-struct DeviceWindow<'a, 'c> {
+struct DeviceWindow<'a> {
     gpu: &'a mut Gpu,
     d: usize,
     pend: &'a mut VecDeque<Arrival>,
-    ctx: &'a StepCtx<'c>,
     intents: &'a mut Vec<SendIntent>,
 }
 
-impl Clocked for DeviceWindow<'_, '_> {
+impl Clocked for DeviceWindow<'_> {
     fn step(&mut self, now: Cycle) {
         let due = self.pend.iter().take_while(|a| a.arrival <= now).count();
         let incoming: Vec<Arrival> = self.pend.drain(..due).collect();
         let mut sink = SendSink::Buffer(self.intents);
-        step_device(self.gpu, self.d, now, &incoming, self.ctx, &mut sink, None);
+        step_device(self.gpu, self.d, now, &incoming, &mut sink, None);
     }
 
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         let pend_at = self.pend.front().map(|a| a.arrival.max(now + 1));
-        min_event(device_next_event(self.gpu, now), pend_at)
+        min_event(self.gpu.next_event(now), pend_at)
     }
 
     fn skip_idle(&mut self, from: Cycle, to: Cycle) {
-        self.gpu.mc.skip_idle(from, to, None);
+        self.gpu.dev.mc.skip_idle(from, to, None);
     }
 
     /// A window always runs to its end; completion is decided at the
@@ -767,12 +526,7 @@ pub fn run_multi_gpu_fused_rs_sharded(
 ) -> MultiGpuResult {
     let n = sys.num_gpus;
     let threads = threads.clamp(1, n);
-    let (mut gpus, mut fabric, global_bounds) = build_run(sys, &grid, opts, topo);
-    let ctx = StepCtx {
-        grid: &grid,
-        global_bounds: &global_bounds,
-        update_cost: opts.substrate.update_cost_multiplier(&sys.mem),
-    };
+    let (mut gpus, mut fabric) = build_run(sys, &grid, opts, topo);
     let mode = opts.mode;
     let window: Cycle = 1 + topo
         .links()
@@ -797,7 +551,6 @@ pub fn run_multi_gpu_fused_rs_sharded(
                 .zip(pending.chunks_mut(per))
                 .enumerate()
                 .map(|(w, (gpu_shard, pend_shard))| {
-                    let ctx = &ctx;
                     scope.spawn(move || {
                         let mut intents = Vec::new();
                         for (i, (gpu, pend)) in
@@ -807,7 +560,6 @@ pub fn run_multi_gpu_fused_rs_sharded(
                                 gpu,
                                 d: w * per + i,
                                 pend,
-                                ctx,
                                 intents: &mut intents,
                             };
                             drive(&mut window, mode, t0, Some(t_end));
@@ -878,11 +630,28 @@ mod tests {
     fn all_gpus_complete_with_zero_skew() {
         // Fully homogeneous inputs: every GPU must finish at the same
         // cycle (this is the paper's homogeneity argument made exact).
+        // The 1- and 4-WG grids leave some of the 8 chunks empty: their
+        // DMAs complete without a transfer, on both engines. Those runs
+        // skew for real — the owner of a non-empty chunk waits for its
+        // whole reduction chain, the owner of an empty one does not.
         let s = sys();
-        let r = run_multi_gpu_fused_rs(&s, grid_of(&s), &FusedOptions::default());
-        assert_eq!(r.skew, 0, "homogeneous GPUs must not skew");
-        assert_eq!(r.per_gpu_cycles.len(), s.num_gpus);
-        assert_eq!(r.dma_transfers, (s.num_gpus * (s.num_gpus - 2)) as u64);
+        let topo = Topology::ring(s.num_gpus, &s.link);
+        let opts = FusedOptions::default();
+        for (grid, equal_chunks) in [
+            (grid_of(&s), true),
+            (GemmGrid::new(&s.gpu, GemmShape::new(128, 128, 512)), false),
+            (GemmGrid::new(&s.gpu, GemmShape::new(256, 256, 512)), false),
+        ] {
+            let wgs = grid.num_wgs();
+            let r = run_multi_gpu_fused_rs_on(&s, grid.clone(), &opts, &topo, None);
+            if equal_chunks {
+                assert_eq!(r.skew, 0, "homogeneous GPUs must not skew");
+            }
+            assert_eq!(r.per_gpu_cycles.len(), s.num_gpus);
+            assert_eq!(r.dma_transfers, (s.num_gpus * (s.num_gpus - 2)) as u64);
+            let sharded = run_multi_gpu_fused_rs_sharded(&s, grid, &opts, &topo, 2);
+            assert_eq!(format!("{r:?}"), format!("{sharded:?}"), "{wgs} WGs");
+        }
     }
 
     #[test]

@@ -197,8 +197,28 @@ impl GemmGrid {
     }
 
     /// Output bytes produced by the WG range `[start, end)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start` or `end` exceeds `num_wgs()`.
     pub fn wg_range_output_bytes(&self, start: u64, end: u64) -> Bytes {
-        (start..end).map(|wg| self.wg_output_bytes(wg)).sum()
+        self.wg_output_offset(end)
+            .saturating_sub(self.wg_output_offset(start))
+    }
+
+    /// Output bytes of every WG before `wg`, in closed form: the tile
+    /// rows above are full height and the tiles to its left are full
+    /// width. `wg == num_wgs()` gives the whole output.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `wg > num_wgs()`.
+    fn wg_output_offset(&self, wg: u64) -> Bytes {
+        assert!(wg <= self.num_wgs(), "wg out of range");
+        let (row, col) = (wg / self.tiles_n, wg % self.tiles_n);
+        let rows_above = (row * self.tile).min(self.shape.m);
+        let height = self.shape.m.saturating_sub(row * self.tile).min(self.tile);
+        (rows_above * self.shape.n + col * self.tile * height) * self.shape.elem_bytes
     }
 
     /// Output bytes produced in `stage`.
@@ -249,13 +269,15 @@ impl GemmGrid {
         self.b_base() + self.shape.b_bytes()
     }
 
-    /// Start address and size of workgroup `wg`'s output region.
+    /// Start address and size of workgroup `wg`'s output region. Tiles
+    /// are laid out in WG order, so the start is O(1); the Tracker
+    /// bookkeeping of every fused engine and the functional model call
+    /// this for each WF region they count.
     pub fn wg_output_region(&self, wg: u64) -> (u64, Bytes) {
-        // Tiles are laid out in WG order; sizes vary at the edges, so
-        // accumulate. This is O(wg), used only for functional checks;
-        // the timing path uses ranges.
-        let start: Bytes = (0..wg).map(|w| self.wg_output_bytes(w)).sum();
-        (self.c_base() + start, self.wg_output_bytes(wg))
+        (
+            self.c_base() + self.wg_output_offset(wg),
+            self.wg_output_bytes(wg),
+        )
     }
 
     /// Read regions (address, bytes) touched by `stage`: the unique

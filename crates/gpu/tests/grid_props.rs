@@ -106,6 +106,23 @@ fn output_regions_tile_c() {
             grid.c_base() + grid.shape().output_bytes(),
             "seed {seed}"
         );
+        // Range sizes are closed-form; they must equal the per-WG sum,
+        // including ranges ending at the last (possibly short) row.
+        let wgs = grid.num_wgs();
+        for _ in 0..16 {
+            let s = rng.gen_range(0, wgs + 1);
+            let e = if rng.gen_range(0, 4) == 0 {
+                wgs
+            } else {
+                rng.gen_range(s, wgs + 1)
+            };
+            let summed: u64 = (s..e).map(|w| grid.wg_output_bytes(w)).sum();
+            assert_eq!(
+                grid.wg_range_output_bytes(s, e),
+                summed,
+                "seed {seed}: range [{s}, {e})"
+            );
+        }
     }
 }
 

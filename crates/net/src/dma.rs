@@ -8,7 +8,9 @@
 //!
 //! The engine is cycle-stepped and pipelined: while one command's
 //! payload serialises on the link, the next command's source read can
-//! already be in flight at the memory controller.
+//! already be in flight at the memory controller. The read stage is a
+//! component of its own ([`DmaReader`]), so an engine that sends over a
+//! multi-hop fabric instead of one link reuses it unchanged.
 
 use std::collections::VecDeque;
 
@@ -16,7 +18,7 @@ use crate::link::{Delivery, Link};
 use t3_mem::controller::{MemoryController, StreamId};
 use t3_sim::config::LinkConfig;
 use t3_sim::stats::TrafficClass;
-use t3_sim::{Bytes, Cycle};
+use t3_sim::{min_event, Bytes, Cycle};
 use t3_trace::{reborrow, Event, Instruments};
 
 /// A pre-programmed DMA command, marked ready by the Tracker.
@@ -39,35 +41,105 @@ struct Reading {
     target: Bytes,
 }
 
-/// The DMA engine: a command queue, an in-flight source read, and the
-/// outbound link.
-#[derive(Debug)]
-pub struct DmaEngine {
+/// The DMA engine's read stage: a command queue and one source read in
+/// flight at the memory controller. It hands each command whose payload
+/// has been read back to its caller, which puts it on the wire — the
+/// engine's own [`Link`], or a multi-hop fabric.
+#[derive(Debug, Default)]
+pub struct DmaReader {
     queue: VecDeque<DmaCommand>,
     reading: Option<Reading>,
+    completed: u64,
+}
+
+impl DmaReader {
+    /// An idle read stage.
+    pub fn new() -> Self {
+        DmaReader::default()
+    }
+
+    /// Queues a ready command (Tracker trigger). Zero-byte commands are
+    /// completed immediately and never touch memory or the wire.
+    pub fn trigger(&mut self, cmd: DmaCommand) {
+        if cmd.bytes == 0 {
+            self.completed += 1;
+            return;
+        }
+        self.queue.push_back(cmd);
+    }
+
+    /// Advances the stage one cycle: returns the command whose source
+    /// read has completed (its payload is ready to send), and starts the
+    /// next queued command's read.
+    pub fn step(&mut self, mc: &mut MemoryController) -> Option<DmaCommand> {
+        let done = self
+            .reading
+            .filter(|r| mc.stats().bytes(r.cmd.read_class) >= r.target)
+            .map(|r| r.cmd);
+        if done.is_some() {
+            self.completed += 1;
+            self.reading = None;
+        }
+        if self.reading.is_none() {
+            if let Some(cmd) = self.queue.pop_front() {
+                // The stage serialises its own reads (one in flight), so
+                // the completion target is simply "current serviced
+                // count + this command's bytes". The fused engines keep
+                // the read class exclusive to DMA source reads.
+                let target = mc.stats().bytes(cmd.read_class) + cmd.bytes;
+                mc.enqueue(StreamId::Comm, cmd.read_class, cmd.bytes, 1.0);
+                self.reading = Some(Reading { cmd, target });
+            }
+        }
+        done
+    }
+
+    /// True when no command is queued or reading.
+    pub fn is_idle(&self) -> bool {
+        self.queue.is_empty() && self.reading.is_none()
+    }
+
+    /// The next cycle strictly after `now` at which stepping this stage
+    /// can change state: a completed source read or a queued command
+    /// starting its read (both `now + 1`). `None` otherwise — an
+    /// in-flight read the memory controller has not finished servicing
+    /// reports `None` because the controller itself is busy (it holds
+    /// the un-serviced transactions) and already pins `now + 1`.
+    pub fn next_event(&self, now: Cycle, mc: &MemoryController) -> Option<Cycle> {
+        match self.reading {
+            Some(r) if mc.stats().bytes(r.cmd.read_class) >= r.target => Some(now + 1),
+            Some(_) => None,
+            None => (!self.queue.is_empty()).then_some(now + 1),
+        }
+    }
+
+    /// Commands whose source read completed, plus zero-byte commands
+    /// completed eagerly.
+    pub fn completed(&self) -> u64 {
+        self.completed
+    }
+}
+
+/// The DMA engine: a [`DmaReader`] feeding the outbound link.
+#[derive(Debug)]
+pub struct DmaEngine {
+    reader: DmaReader,
     link: Link,
-    sent_commands: u64,
 }
 
 impl DmaEngine {
     /// Creates an engine sending over a link with configuration `cfg`.
     pub fn new(cfg: &LinkConfig) -> Self {
         DmaEngine {
-            queue: VecDeque::new(),
-            reading: None,
+            reader: DmaReader::new(),
             link: Link::new(cfg),
-            sent_commands: 0,
         }
     }
 
     /// Queues a ready command (Tracker trigger). Zero-byte commands are
     /// completed immediately and never touch memory or the link.
     pub fn trigger(&mut self, cmd: DmaCommand) {
-        if cmd.bytes == 0 {
-            self.sent_commands += 1;
-            return;
-        }
-        self.queue.push_back(cmd);
+        self.reader.trigger(cmd);
     }
 
     /// Advances the engine one cycle: completes a finished source read
@@ -89,39 +161,24 @@ impl DmaEngine {
         mc: &mut MemoryController,
         mut ins: Option<&mut Instruments>,
     ) -> Vec<Delivery> {
-        if let Some(reading) = self.reading {
-            if mc.stats().bytes(reading.cmd.read_class) >= reading.target {
-                let start = self.link.busy_until().max(now);
-                self.link
-                    .send_traced(now, reading.cmd.id, reading.cmd.bytes, reborrow(&mut ins));
-                if let Some(ins) = reborrow(&mut ins) {
-                    let end = self.link.busy_until();
-                    ins.record(
+        if let Some(cmd) = self.reader.step(mc) {
+            let start = self.link.busy_until().max(now);
+            self.link
+                .send_traced(now, cmd.id, cmd.bytes, reborrow(&mut ins));
+            if let Some(ins) = ins {
+                let end = self.link.busy_until();
+                ins.record(
+                    end,
+                    Event::ChunkSend {
+                        chunk: cmd.id,
+                        bytes: cmd.bytes,
+                        hops: 1,
+                        start,
                         end,
-                        Event::ChunkSend {
-                            chunk: reading.cmd.id,
-                            bytes: reading.cmd.bytes,
-                            hops: 1,
-                            start,
-                            end,
-                        },
-                    );
-                    ins.add("dma.chunks_sent", 1);
-                    ins.add("dma.bytes_sent", reading.cmd.bytes);
-                }
-                self.sent_commands += 1;
-                self.reading = None;
-            }
-        }
-        if self.reading.is_none() {
-            if let Some(cmd) = self.queue.pop_front() {
-                // The engine serialises its own reads (one in flight),
-                // so the completion target is simply "current serviced
-                // count + this command's bytes". The fused engine keeps
-                // the read class exclusive to DMA source reads.
-                let target = mc.stats().bytes(cmd.read_class) + cmd.bytes;
-                mc.enqueue(StreamId::Comm, cmd.read_class, cmd.bytes, 1.0);
-                self.reading = Some(Reading { cmd, target });
+                    },
+                );
+                ins.add("dma.chunks_sent", 1);
+                ins.add("dma.bytes_sent", cmd.bytes);
             }
         }
         self.link.deliveries_until(now)
@@ -155,35 +212,20 @@ impl DmaEngine {
 
     /// True when no command is queued, reading, or on the wire.
     pub fn is_idle(&self, now: Cycle) -> bool {
-        self.queue.is_empty() && self.reading.is_none() && self.link.is_idle(now)
+        self.reader.is_idle() && self.link.is_idle(now)
     }
 
     /// The next cycle strictly after `now` at which stepping this
-    /// engine can change state: the head in-flight link arrival, a
-    /// completed source read starting its transmission (`now + 1`), or
-    /// a queued command starting its read (`now + 1`). `None` when
-    /// nothing is pending — an in-flight source read that the memory
-    /// controller has not finished servicing reports `None` here
-    /// because the controller itself is busy (it holds the un-serviced
-    /// transactions) and already pins the next event at `now + 1`.
+    /// engine can change state: the head in-flight link arrival or the
+    /// read stage's next event ([`DmaReader::next_event`]).
     pub fn next_event(&self, now: Cycle, mc: &MemoryController) -> Option<Cycle> {
-        let read_event = match self.reading {
-            Some(r) if mc.stats().bytes(r.cmd.read_class) >= r.target => Some(now + 1),
-            Some(_) => None,
-            None if !self.queue.is_empty() => Some(now + 1),
-            None => None,
-        };
-        match (self.link.next_event(now), read_event) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (Some(a), None) => Some(a),
-            (None, b) => b,
-        }
+        min_event(self.link.next_event(now), self.reader.next_event(now, mc))
     }
 
     /// Commands whose payload has been handed to the link (plus
     /// zero-byte commands completed eagerly).
     pub fn sent_commands(&self) -> u64 {
-        self.sent_commands
+        self.reader.completed()
     }
 
     /// Total bytes accepted by the link so far.
@@ -337,7 +379,13 @@ mod tests {
         // Step the run to completion, recording every cycle at which
         // the engine observably changed, plus the prediction made right
         // after each step.
-        let snapshot = |e: &DmaEngine| (e.queue.len(), e.reading.is_some(), e.sent_commands);
+        let snapshot = |e: &DmaEngine| {
+            (
+                e.reader.queue.len(),
+                e.reader.reading.is_some(),
+                e.sent_commands(),
+            )
+        };
         let mut changes = Vec::new();
         let mut predictions = Vec::new();
         let mut now = 0;
@@ -384,7 +432,7 @@ mod tests {
             read_class: TrafficClass::RsRead,
         });
         let mut now = 0;
-        while !(engine.reading.is_none() && engine.queue.is_empty() && mc.is_idle()) {
+        while !(engine.reader.is_idle() && mc.is_idle()) {
             mc.step(now, None);
             engine.step(now, &mut mc);
             now += 1;

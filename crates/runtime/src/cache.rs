@@ -23,6 +23,7 @@ use std::path::PathBuf;
 
 use crate::fingerprint::Fingerprint;
 use crate::job::JobOutput;
+use crate::report::escape;
 
 /// On-disk schema revision; bump on any layout change.
 pub const CACHE_SCHEMA: u64 = 1;
@@ -193,27 +194,6 @@ pub fn parse_entry(text: &str) -> Option<JobOutput> {
         sim_cycles,
         metrics,
     })
-}
-
-/// Escapes a string for a JSON string literal (mirrors
-/// `t3_trace::metrics::escape_json`; duplicated to keep this crate
-/// dependency-free).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// A minimal pull parser for exactly the JSON subset the cache
